@@ -55,9 +55,14 @@ def main():
             assert worker.peer_cache is not None, "ring push did not happen"
             assert worker.peer_cache.flush_writes(timeout_s=30.0)
 
-        victim, survivor = workers
+        # Kill the ring owner of a MATRIX key, so the victim owns at least
+        # one key whatever ports the OS assigned.
+        owner = coordinator.ring.node_for(first[0].key)
+        victim = next(w for w in workers if w.url == owner)
+        survivor = next(w for w in workers if w is not victim)
         victim_keys = [entry.key for entry in first
                        if coordinator.ring.node_for(entry.key) == victim.url]
+        assert victim_keys
         print(f"simulated {len(first)} points; "
               f"{len(victim_keys)} owned by the victim shard")
         victim._server.stop(drain_timeout_s=0.0)  # kill one shard

@@ -204,12 +204,20 @@ async def _read_request(reader: asyncio.StreamReader,
         if not sep:
             raise RequestError(400, f"bad header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length") or 0)
+    raw_length = headers.get("content-length") or "0"
+    # int() alone would also take "+5", "5_0" and "-5" (and raise
+    # ValueError on "abc"): accept plain ASCII digits only.
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise RequestError(400, f"bad Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise RequestError(413,
                            f"request body too large ({length} bytes, "
                            f"limit {MAX_BODY_BYTES})")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise RequestError(400, "truncated request body") from None
     path = target.split("?", 1)[0]
     return HTTPRequest(method=method, path=path, headers=headers, body=body,
                        client=client)
@@ -409,25 +417,30 @@ def _split_url(url: str) -> Tuple[str, int, str]:
 async def fetch(url: str, method: str = "GET", path: str = "/",
                 payload: Optional[Dict[str, object]] = None,
                 timeout_s: float = 600.0,
-                headers: Optional[Dict[str, str]] = None) -> HTTPReply:
+                headers: Optional[Dict[str, str]] = None,
+                body: Optional[bytes] = None) -> HTTPReply:
     """One HTTP request against ``url``; connection-per-request.
 
-    Raises ``ConnectionError`` when the peer is unreachable or hangs up
-    mid-response and ``asyncio.TimeoutError`` on deadline -- the two signals
-    the coordinator's failover path treats as "this shard is down".
+    The request body is ``payload`` encoded as JSON, or ``body`` when the
+    caller already holds the encoded JSON bytes.  Raises ``ConnectionError``
+    when the peer is unreachable or hangs up mid-response and
+    ``asyncio.TimeoutError`` on deadline -- the two signals the
+    coordinator's failover path treats as "this shard is down".
     """
+    if payload is not None and body is not None:
+        raise ValueError("pass either payload or body, not both")
     host, port, base = _split_url(url)
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host, port), timeout=min(timeout_s, 10.0))
     try:
-        body = json.dumps(payload).encode("utf-8") if payload is not None \
-            else b""
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
         head = {
             "Host": f"{host}:{port}",
             "Connection": "close",
-            "Content-Length": str(len(body)),
+            "Content-Length": str(len(body or b"")),
         }
-        if payload is not None:
+        if body is not None:
             head["Content-Type"] = "application/json"
         head.update(headers or {})
         # Carry the active trace across the hop (coordinator -> worker,
@@ -436,7 +449,7 @@ async def fetch(url: str, method: str = "GET", path: str = "/",
         lines = [f"{method} {base + path} HTTP/1.1"]
         lines.extend(f"{name}: {value}" for name, value in head.items())
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                     + body)
+                     + (body or b""))
         await writer.drain()
 
         raw_head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),

@@ -586,41 +586,64 @@ class ClusterCoordinator:
                                ) -> List[_Pending]:
         """Hunt a dead shard's results in the survivors' cache tiers.
 
-        For each re-routed point, ask the surviving shards' ``GET
-        /cache/<key>`` endpoints in ring-preference order (the first entry
-        is exactly where write-through replicated the key).  A hit fills
-        the point's slot with status ``"cached"`` -- no re-simulation; the
-        returned list is the points no survivor could answer.
+        Each re-routed point asks the surviving shards in its key's
+        ring-preference order (the first entry is exactly where
+        write-through replicated the key).  The probe runs in rounds: round
+        ``r`` sends each survivor one ``POST /cache/batch`` holding every
+        key whose ``r``-th preference it is, so a round costs one request
+        per survivor, not one per key.  A hit fills the point's slot with
+        status ``"cached"`` -- no re-simulation; the returned list is the
+        points no survivor could answer.
         """
+        started = time.monotonic()
+        by_key: Dict[str, List[_Pending]] = {}
+        for item in items:
+            by_key.setdefault(item.key, []).append(item)
+        preferences = {key: self.ring.preference(key, exclude=dead)
+                       for key in by_key}
 
-        async def _probe(item: _Pending) -> Optional[_Pending]:
-            started = time.monotonic()
-            for url in self.ring.preference(item.key, exclude=dead):
-                try:
-                    reply = await fetch(
-                        url, "GET", f"/cache/{item.key}",
-                        timeout_s=self.peer_timeout_s)
-                    if reply.status != 200:
-                        continue
-                    payload = reply.json()
-                    result = payload["result"]
-                    if not isinstance(result, Mapping):
-                        continue
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        ValueError, KeyError):
+        async def _ask(url: str, keys: List[str]) -> Dict[str, object]:
+            try:
+                reply = await fetch(url, "POST", "/cache/batch",
+                                    payload={"keys": keys},
+                                    timeout_s=self.peer_timeout_s)
+                answers = reply.json()["results"] \
+                    if reply.status == 200 else {}
+            except (ConnectionError, OSError, asyncio.TimeoutError,
+                    ValueError, KeyError, TypeError):
+                return {}
+            return answers if isinstance(answers, Mapping) else {}
+
+        unresolved = list(by_key)
+        rounds = max((len(urls) for urls in preferences.values()), default=0)
+        for depth in range(rounds):
+            groups: Dict[str, List[str]] = {}
+            for key in unresolved:
+                if depth < len(preferences[key]):
+                    groups.setdefault(preferences[key][depth], []).append(key)
+            answers: Dict[str, object] = {}
+            for found in await asyncio.gather(
+                    *(_ask(url, keys) for url, keys in groups.items())):
+                answers.update(found)
+            missed = []
+            for key in unresolved:
+                result = answers.get(key)
+                if not isinstance(result, Mapping):
+                    missed.append(key)
                     continue
-                slots[item.index] = {"key": item.key, "status": "cached",
-                                     "result": dict(result)}
-                self._bump("peer_cache_answers")
-                self._peer_cache_hits_total.inc()
+                for item in by_key[key]:
+                    slots[item.index] = {"key": key, "status": "cached",
+                                         "result": dict(result)}
+                    self._bump("peer_cache_answers")
+                    self._peer_cache_hits_total.inc()
+                    self._peer_probe_seconds.observe(
+                        time.monotonic() - started)
+            unresolved = missed
+        for key in unresolved:
+            for _item in by_key[key]:
+                self._peer_cache_misses_total.inc()
                 self._peer_probe_seconds.observe(time.monotonic() - started)
-                return None
-            self._peer_cache_misses_total.inc()
-            self._peer_probe_seconds.observe(time.monotonic() - started)
-            return item
-
-        missed = await asyncio.gather(*(_probe(item) for item in items))
-        return [item for item in missed if item is not None]
+        return [item for key in unresolved for item in by_key[key]]
 
     # -- explore (strategies local, simulations sharded) ----------------------
 

@@ -1,4 +1,5 @@
-"""Cluster-shared cache tier: ring-routed peer lookups behind a local store.
+"""Cluster-shared cache tier: batched, ring-routed peer lookups behind a
+local store.
 
 Cluster shards were shared-nothing through PR 7: each worker's warm
 :class:`~repro.serve.store.SQLiteResultStore` answered only the keys that
@@ -9,23 +10,33 @@ the warm-store amortisation that makes ``serve`` worth running.
 :class:`PeerCacheBackend` turns the N private stores into one cluster-wide
 result cache.  It implements the :class:`~repro.sim.jobs.cache.CacheBackend`
 protocol and layers the shard's *local* tier (its SQLite store, or a small
-in-memory LRU when the shard runs storeless) in front of a *peer* tier:
+in-memory LRU when the shard runs storeless) in front of a *peer* tier.
+The peer tier works in batches, so a shard batch costs one request per
+peer in each direction, not one per key:
 
-* **load** -- a local miss asks the key's ring-preferred peer (the node a
-  re-routed key would land on) over ``GET /cache/<key>`` before the caller
-  pays for a simulation.  Peer answers are copied into the local tier, so
-  each key crosses the network at most once per shard.
-* **single-flight** -- concurrent misses of one key share one peer fetch;
-  followers wait on the leader's outcome instead of stampeding the peer.
-* **timeout budget** -- every peer lookup has a strict deadline
-  (``timeout_s``); a slow or dead peer degrades gracefully to local
-  compute, and a connection-refused peer is put on a short cooldown so a
-  dead shard does not tax every subsequent miss with a full timeout.
-* **write-through** -- a freshly stored result is replicated (fire and
-  forget) to the key's failover target: the ring owner when this shard is
-  not the owner, or the ring *successor* when it is.  That is precisely
-  the shard the key will be re-routed to if this one dies, which is what
-  keeps re-routed keys warm across failover.
+* **load_many** -- the local misses of a whole lookup are grouped by each
+  key's ring-preferred peer (the node a re-routed key would land on), and
+  each peer is asked once, over ``POST /cache/batch {"keys": [...]}``,
+  before the caller pays for simulations.  Peers are asked concurrently.
+  Peer answers are copied into the local tier, so each key crosses the
+  network at most once per shard.  :meth:`~PeerCacheBackend.load` is a
+  batch of one.
+* **single-flight** -- a key already in flight in another thread's batch
+  is joined, not re-asked; followers wait on the leader's outcome instead
+  of stampeding the peer.
+* **timeout budget** -- one strict deadline (``timeout_s``) covers the
+  whole batch, every peer included; a slow or dead peer degrades gracefully
+  to local compute, and a connection-refused peer is put on a short
+  cooldown so a dead shard does not tax every subsequent miss with a full
+  timeout.
+* **write-through** -- a freshly stored result is queued for the key's
+  failover target: the ring owner when this shard is not the owner, or the
+  ring *successor* when it is.  That is precisely the shard the key will be
+  re-routed to if this one dies, which is what keeps re-routed keys warm
+  across failover.  The I/O loop sends everything queued for a peer as one
+  ``PUT /cache/batch {"entries": [...]}`` (split so no body exceeds
+  :data:`repro.cluster.aio.MAX_BODY_BYTES`); stores that arrive while that
+  request is in flight ride the next one.  Fire and forget.
 
 The peer target for both directions is ``ring.node_for(key,
 exclude={self})``: for a non-owner that is the owner; for the owner it is
@@ -41,18 +52,62 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cluster.aio import fetch
-from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
+from repro.cluster import aio
+from repro.cluster.aio import HTTPReply, fetch
 from repro.cluster.ring import ConsistentHashRing
+from repro.obs import get_logger, get_tracer
+from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
 from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import NetworkResult
 
 __all__ = ["PeerCacheBackend"]
+
+_log = get_logger("cluster.peercache")
+
+#: Buckets of the ``loom_peer_cache_batch_keys`` histogram (keys/request).
+_BATCH_KEYS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+def _log_unexpected_failure(future: concurrent.futures.Future) -> None:
+    """Done-callback of a replication task: report what it did not catch.
+
+    Transport failures are counted inside the task; anything reaching here
+    is a defect, and replication is fire-and-forget, so it is logged rather
+    than lost with the future.
+    """
+    if not future.cancelled() and future.exception() is not None:
+        _log.error("peercache.replicate_failed",
+                   error=f"{type(future.exception()).__name__}: "
+                         f"{future.exception()}")
+
+
+def _json_bodies(field: str, parts: Sequence[bytes]
+                 ) -> Iterator[Tuple[bytes, int]]:
+    """Pack encoded JSON values into ``{field: [...]}`` request bodies.
+
+    Yields ``(body, count)`` pairs, in order, each body within
+    :data:`repro.cluster.aio.MAX_BODY_BYTES` (read at call time).  A single
+    value too large for any body is sent alone; the peer answers it 413.
+    """
+    head = b'{"' + field.encode("ascii") + b'": ['
+    tail = b"]}"
+    limit = aio.MAX_BODY_BYTES - len(head) - len(tail)
+    batch: List[bytes] = []
+    size = 0
+    for part in parts:
+        if batch and size + 1 + len(part) > limit:
+            yield head + b",".join(batch) + tail, len(batch)
+            batch, size = [], 0
+        size += len(part) + (1 if batch else 0)
+        batch.append(part)
+    if batch:
+        yield head + b",".join(batch) + tail, len(batch)
 
 
 class _Flight:
@@ -125,11 +180,11 @@ class PeerCacheBackend(CacheBackend):
         coordinator's ``POST /ring``); until configured, the backend
         behaves exactly like its local tier.
     timeout_s:
-        Strict budget for one peer lookup, queueing included.  On expiry
-        the lookup is abandoned (counted in ``peer_timeouts``) and the
-        caller computes locally.
+        Strict budget for one batched peer lookup, every peer and queueing
+        included.  On expiry the unanswered keys are abandoned (counted in
+        ``peer_timeouts``) and the caller computes them locally.
     write_through:
-        Replicate fresh results to the key's failover target so re-routed
+        Replicate fresh results to each key's failover target so re-routed
         keys stay warm across shard death.  Fire-and-forget; failures are
         counted, never raised.
     dead_peer_cooldown_s:
@@ -137,8 +192,10 @@ class PeerCacheBackend(CacheBackend):
         this long (a dead shard should cost one timeout, not one per miss).
     metrics:
         Optional :class:`MetricsRegistry` to surface
-        ``loom_peer_cache_{hits,misses,timeouts}_total`` counters and the
-        ``loom_peer_cache_fetch_seconds`` histogram on ``/metrics``.
+        ``loom_peer_cache_{hits,misses,timeouts}_total`` counters (per key)
+        and the ``loom_peer_cache_fetch_seconds`` and
+        ``loom_peer_cache_batch_keys`` histograms (per request) on
+        ``/metrics``.
     """
 
     name = "peer cache"
@@ -162,7 +219,7 @@ class PeerCacheBackend(CacheBackend):
         self.timeout_s = timeout_s
         self.write_through = write_through
         self.dead_peer_cooldown_s = dead_peer_cooldown_s
-        #: Peer-tier counters (plain ints; /stats + tests read them).
+        #: Peer-tier counters, per key (plain ints; /stats + tests read them).
         self.peer_hits = 0
         self.peer_misses = 0
         self.peer_timeouts = 0
@@ -171,26 +228,35 @@ class PeerCacheBackend(CacheBackend):
         self._lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
         self._cooldown_until: Dict[str, float] = {}
-        self._pending_writes: set = set()
+        #: Write-through replicas waiting for their peer's next request,
+        #: and the replication task of each peer with one running.
+        self._write_queue: Dict[str, List[Tuple[str, NetworkResult]]] = {}
+        self._writers: Dict[str, concurrent.futures.Future] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._closed = False
-        self._hits_metric = self._misses_metric = None
-        self._timeouts_metric = self._fetch_seconds = None
-        if metrics is not None:
-            self._hits_metric = metrics.counter(
-                "loom_peer_cache_hits_total",
-                "Local misses answered by a peer shard's cache.")
-            self._misses_metric = metrics.counter(
-                "loom_peer_cache_misses_total",
-                "Peer lookups the owning shard could not answer.")
-            self._timeouts_metric = metrics.counter(
-                "loom_peer_cache_timeouts_total",
-                "Peer lookups abandoned because the peer was slow or dead.")
-            self._fetch_seconds = metrics.histogram(
-                "loom_peer_cache_fetch_seconds",
-                "Peer cache fetch latency in seconds (hits and misses).",
-                buckets=PEER_LATENCY_BUCKETS)
+        # Without a caller's registry the instruments still count, unseen.
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._hits_metric = metrics.counter(
+            "loom_peer_cache_hits_total",
+            "Local misses answered by a peer shard's cache.")
+        self._misses_metric = metrics.counter(
+            "loom_peer_cache_misses_total",
+            "Peer lookups the owning shard could not answer.")
+        self._timeouts_metric = metrics.counter(
+            "loom_peer_cache_timeouts_total",
+            "Peer lookups abandoned because the peer was slow or dead.")
+        self._fetch_seconds = metrics.histogram(
+            "loom_peer_cache_fetch_seconds",
+            "Peer cache fetch latency in seconds: one observation per "
+            "POST /cache/batch request, which asks one peer for a batch "
+            "of keys (hits and misses).",
+            buckets=PEER_LATENCY_BUCKETS)
+        self._batch_keys = metrics.histogram(
+            "loom_peer_cache_batch_keys",
+            "Keys per peer cache batch request, by op (lookup: POST "
+            "/cache/batch, replicate: PUT /cache/batch).",
+            buckets=_BATCH_KEYS_BUCKETS, labelnames=("op",))
 
     # -- membership -----------------------------------------------------------
 
@@ -224,39 +290,55 @@ class PeerCacheBackend(CacheBackend):
     # -- CacheBackend protocol ------------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkResult]:
-        result = self.local.load(key)
-        if result is not None:
-            return result
-        peer = self.peer_for(key)
-        if peer is None:
-            return None
+        return self.load_many((key,)).get(key)
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """Local tier first; the misses cost one request per peer."""
+        keys = list(dict.fromkeys(keys))
+        found = self.local.load_many(keys)
+        if len(found) == len(keys):
+            return found
         deadline = time.monotonic() + self.timeout_s
+        asks: Dict[str, List[str]] = {}
+        joined: Dict[str, _Flight] = {}
+        cooled = 0
         with self._lock:
-            if time.monotonic() < self._cooldown_until.get(peer, 0.0):
-                self.peer_timeouts += 1
-                if self._timeouts_metric is not None:
-                    self._timeouts_metric.inc()
-                return None
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                self._inflight[key] = flight
-        if not leader:
-            # Single-flight follower: share the leader's outcome (which may
-            # be a miss) instead of issuing a duplicate peer fetch.
+            now = time.monotonic()
+            for key in keys:
+                if key in found:
+                    continue
+                peer = self.peer_for(key)
+                if peer is None:
+                    continue
+                if now < self._cooldown_until.get(peer, 0.0):
+                    cooled += 1
+                elif key in self._inflight:
+                    # Single-flight follower: share the leader's outcome
+                    # (which may be a miss) instead of asking again.
+                    joined[key] = self._inflight[key]
+                else:
+                    self._inflight[key] = _Flight()
+                    asks.setdefault(peer, []).append(key)
+        self._count(timeouts=cooled)
+        if asks:
+            fetched: Dict[str, NetworkResult] = {}
+            try:
+                fetched = self._ask_peers(asks, deadline)
+                for key, result in fetched.items():
+                    self.local.store(key, result, None)
+            finally:
+                with self._lock:
+                    flights = [(key, self._inflight.pop(key))
+                               for group in asks.values() for key in group]
+                for key, flight in flights:
+                    flight.result = fetched.get(key)
+                    flight.event.set()
+            found.update(fetched)
+        for key, flight in joined.items():
             flight.event.wait(max(0.0, deadline - time.monotonic()))
-            return flight.result
-        try:
-            result = self._fetch_from_peer(peer, key)
-            if result is not None:
-                self.local.store(key, result, None)
-            flight.result = result
-            return result
-        finally:
-            flight.event.set()
-            with self._lock:
-                self._inflight.pop(key, None)
+            if flight.result is not None:
+                found[key] = flight.result
+        return found
 
     def store(self, key: str, result: NetworkResult,
               spec: Optional[dict] = None) -> None:
@@ -264,8 +346,22 @@ class PeerCacheBackend(CacheBackend):
         if not self.write_through:
             return
         peer = self.peer_for(key)
-        if peer is not None:
-            self._write_through(peer, key, result)
+        if peer is None:
+            return
+        try:
+            loop = self._ensure_loop()
+        except RuntimeError:  # closed mid-store
+            return
+        with self._lock:
+            if self._closed:  # close() stops the loop once this is set
+                return
+            self._write_queue.setdefault(peer, []).append((key, result))
+            if peer in self._writers:
+                return  # rides the request after the one in flight
+            writer = asyncio.run_coroutine_threadsafe(
+                self._replicate(peer), loop)
+            self._writers[peer] = writer
+        writer.add_done_callback(_log_unexpected_failure)
 
     def contains(self, key: str) -> bool:
         """Local tier only: membership probes must not pay network I/O."""
@@ -286,8 +382,8 @@ class PeerCacheBackend(CacheBackend):
             loop, thread = self._loop, self._loop_thread
             self._loop = self._loop_thread = None
         if loop is not None:
-            # Cancel and drain any still-pending fetch before stopping the
-            # loop, so their transports close on a live loop instead of
+            # Cancel and drain any still-pending request before stopping
+            # the loop, so their transports close on a live loop instead of
             # complaining from the garbage collector.
             async def _drain() -> None:
                 tasks = [task for task in asyncio.all_tasks()
@@ -305,19 +401,6 @@ class PeerCacheBackend(CacheBackend):
             if thread is not None:
                 thread.join(timeout=5.0)
         self.local.close()
-
-    # -- local tier (the worker's /cache endpoints) ---------------------------
-
-    def local_load(self, key: str) -> Optional[NetworkResult]:
-        """Local tier only -- what ``GET /cache/<key>`` serves.  Never
-        recurses into the peer tier, so peer lookups cannot chain."""
-        return self.local.load(key)
-
-    def local_store(self, key: str, result: NetworkResult,
-                    spec: Optional[dict] = None) -> None:
-        """Local tier only -- what ``PUT /cache/<key>`` (a peer's
-        write-through) stores.  Never replicated onward."""
-        self.local.store(key, result, spec)
 
     # -- peer I/O -------------------------------------------------------------
 
@@ -344,117 +427,158 @@ class PeerCacheBackend(CacheBackend):
         ready.wait(timeout=5.0)
         return loop
 
-    def _fetch_from_peer(self, peer: str, key: str
-                         ) -> Optional[NetworkResult]:
-        """One ``GET /cache/<key>`` against ``peer`` under the budget.
+    def _ask_peers(self, asks: Dict[str, List[str]],
+                   deadline: float) -> Dict[str, NetworkResult]:
+        """Ask every peer for its keys at once, all under ``deadline``.
 
-        Returns the parsed result on a hit, ``None`` on a miss, a timeout
-        or any transport failure -- the caller always has local compute to
-        fall back on, so nothing here may raise.
+        One ``POST /cache/batch`` per peer (more only if the keys overflow
+        one body).  Returns the hits.  A peer that times out or fails
+        costs its keys as ``peer_timeouts``; nothing here may raise -- the
+        caller always has local compute to fall back on.
         """
-        started = time.monotonic()
+        requests: List[Tuple[str, List[str], concurrent.futures.Future]] = []
         try:
             loop = self._ensure_loop()
-            future = asyncio.run_coroutine_threadsafe(
-                fetch(peer, "GET", f"/cache/{key}",
-                      timeout_s=self.timeout_s), loop)
-            try:
-                reply = future.result(
-                    timeout=max(0.0, self.timeout_s
-                                - (time.monotonic() - started)))
-            except (concurrent.futures.TimeoutError, asyncio.TimeoutError,
-                    TimeoutError):
-                # (three spellings: pre-3.11 futures/asyncio timeout classes
-                # are distinct from the builtin)
+        except RuntimeError:  # closed: behave like a dead peer
+            for peer, keys in asks.items():
+                self._note_failure(peer, len(keys), cooldown=True)
+            return {}
+        for peer, keys in asks.items():
+            parts = [json.dumps(key).encode("utf-8") for key in keys]
+            start = 0
+            for body, count in _json_bodies("keys", parts):
+                chunk = keys[start:start + count]
+                start += count
+                requests.append((peer, chunk, asyncio.run_coroutine_threadsafe(
+                    self._lookup(peer, count, body, deadline), loop)))
+        concurrent.futures.wait([future for _, _, future in requests],
+                                timeout=max(0.0, deadline - time.monotonic()))
+        found: Dict[str, NetworkResult] = {}
+        for peer, keys, future in requests:
+            if not future.done():
                 future.cancel()
-                self._note_timeout(peer, started, cooldown=False)
-                return None
-        except (ConnectionError, OSError, RuntimeError):
-            # Connection refused / reset: the peer is dead or restarting.
-            # Cool it down so the next misses skip straight to computing.
-            self._note_timeout(peer, started, cooldown=True)
-            return None
-        elapsed = time.monotonic() - started
-        if self._fetch_seconds is not None:
-            self._fetch_seconds.observe(elapsed)
+                self._note_failure(peer, len(keys), cooldown=False)
+                continue
+            try:
+                reply = future.result()
+            except (TimeoutError, asyncio.TimeoutError,
+                    concurrent.futures.TimeoutError,
+                    concurrent.futures.CancelledError):
+                # (pre-3.11 futures/asyncio timeout classes are distinct
+                # from the builtin)
+                self._note_failure(peer, len(keys), cooldown=False)
+            except (ConnectionError, OSError, ValueError):
+                # Connection refused / reset, or an unusable peer URL: the
+                # peer is dead or restarting.  Cool it down so the next
+                # misses skip straight to computing.
+                self._note_failure(peer, len(keys), cooldown=True)
+            else:
+                found.update(self._parse_lookup(reply, keys))
+        return found
+
+    async def _lookup(self, peer: str, keys: int, body: bytes,
+                      deadline: float) -> HTTPReply:
+        """One ``POST /cache/batch`` on the I/O loop, timed and traced."""
+        started = time.monotonic()
+        with get_tracer().span("peercache.lookup", peer=peer, keys=keys):
+            try:
+                return await asyncio.wait_for(
+                    fetch(peer, "POST", "/cache/batch", body=body,
+                          timeout_s=self.timeout_s),
+                    timeout=max(0.0, deadline - time.monotonic()))
+            finally:
+                self._fetch_seconds.observe(time.monotonic() - started)
+                self._batch_keys.observe(keys, op="lookup")
+
+    def _parse_lookup(self, reply: HTTPReply,
+                      keys: List[str]) -> Dict[str, NetworkResult]:
+        """The hits in one batch reply; a key it lacks is a miss."""
+        found: Dict[str, NetworkResult] = {}
         if reply.status == 200:
             try:
-                result = NetworkResult.from_dict(reply.json()["result"])
+                answers = reply.json()["results"]
+                for key in keys:
+                    if key in answers:
+                        found[key] = NetworkResult.from_dict(answers[key])
             except (ValueError, KeyError, TypeError):
                 self.invalid_entries += 1
-                self._count_miss()
-                return None
-            self._count_hit()
-            return result
-        self._count_miss()
-        return None
+        self._count(hits=len(found), misses=len(keys) - len(found))
+        return found
 
-    def _note_timeout(self, peer: str, started: float,
-                      cooldown: bool) -> None:
-        if self._fetch_seconds is not None:
-            self._fetch_seconds.observe(time.monotonic() - started)
-        with self._lock:
-            self.peer_timeouts += 1
-            if cooldown and self.dead_peer_cooldown_s > 0:
+    def _note_failure(self, peer: str, keys: int, cooldown: bool) -> None:
+        if cooldown and self.dead_peer_cooldown_s > 0:
+            with self._lock:
                 self._cooldown_until[peer] = (time.monotonic()
                                               + self.dead_peer_cooldown_s)
-        if self._timeouts_metric is not None:
-            self._timeouts_metric.inc()
+        self._count(timeouts=keys)
 
-    def _count_hit(self) -> None:
+    def _count(self, hits: int = 0, misses: int = 0,
+               timeouts: int = 0) -> None:
         with self._lock:
-            self.peer_hits += 1
-        if self._hits_metric is not None:
-            self._hits_metric.inc()
+            self.peer_hits += hits
+            self.peer_misses += misses
+            self.peer_timeouts += timeouts
+        for metric, amount in ((self._hits_metric, hits),
+                               (self._misses_metric, misses),
+                               (self._timeouts_metric, timeouts)):
+            if amount:
+                metric.inc(amount)
 
-    def _count_miss(self) -> None:
-        with self._lock:
-            self.peer_misses += 1
-        if self._misses_metric is not None:
-            self._misses_metric.inc()
+    async def _replicate(self, peer: str) -> None:
+        """Send ``peer`` everything queued for it, until the queue is dry.
 
-    def _write_through(self, peer: str, key: str,
-                       result: NetworkResult) -> None:
-        """Fire-and-forget ``PUT /cache/<key>`` replica to ``peer``."""
+        One ``PUT /cache/batch`` per body; replicas stored meanwhile wait
+        for the next round, so a shard batch costs about one request per
+        peer however many results it stores.
+        """
         try:
-            loop = self._ensure_loop()
-        except RuntimeError:  # closed mid-store
-            return
-        payload = {"key": key, "result": result.to_dict()}
-        future = asyncio.run_coroutine_threadsafe(
-            fetch(peer, "PUT", f"/cache/{key}", payload=payload,
-                  timeout_s=self.timeout_s), loop)
-        with self._lock:
-            self._pending_writes.add(future)
-
-        def _done(completed) -> None:
+            while True:
+                with self._lock:
+                    entries = self._write_queue.pop(peer, None)
+                    if not entries:
+                        del self._writers[peer]
+                        return
+                parts = [json.dumps({"key": key,
+                                     "result": result.to_dict()}
+                                    ).encode("utf-8")
+                         for key, result in entries]
+                for body, count in _json_bodies("entries", parts):
+                    stored = await self._send_replicas(peer, body, count)
+                    with self._lock:
+                        if stored:
+                            self.peer_writes += count
+                        else:
+                            self.peer_write_errors += count
+        except BaseException:  # cancelled by close(), or a bug
             with self._lock:
-                self._pending_writes.discard(completed)
-                try:
-                    reply = completed.result()
-                    if 200 <= reply.status < 300:
-                        self.peer_writes += 1
-                    else:
-                        self.peer_write_errors += 1
-                except (ConnectionError, OSError, asyncio.TimeoutError,
-                        concurrent.futures.TimeoutError, TimeoutError,
-                        asyncio.CancelledError, ValueError):
-                    self.peer_write_errors += 1
+                self._writers.pop(peer, None)
+            raise
 
-        future.add_done_callback(_done)
+    async def _send_replicas(self, peer: str, body: bytes,
+                             count: int) -> bool:
+        """One ``PUT /cache/batch``; True when the peer stored it."""
+        self._batch_keys.observe(count, op="replicate")
+        with get_tracer().span("peercache.replicate", peer=peer, keys=count):
+            try:
+                reply = await fetch(peer, "PUT", "/cache/batch", body=body,
+                                    timeout_s=self.timeout_s)
+            except (ConnectionError, OSError, asyncio.TimeoutError,
+                    ValueError):
+                return False
+            return 200 <= reply.status < 300
 
     def flush_writes(self, timeout_s: float = 5.0) -> bool:
         """Wait for outstanding write-through replications; True when none
         remain.  Tests (and close()) use this for determinism -- the hot
         path never waits on replication."""
         deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
+        while True:
             with self._lock:
-                if not self._pending_writes:
+                if not self._write_queue and not self._writers:
                     return True
+            if time.monotonic() >= deadline:
+                return False
             time.sleep(0.005)
-        with self._lock:
-            return not self._pending_writes
 
     # -- introspection --------------------------------------------------------
 

@@ -11,9 +11,12 @@ method    path           behaviour
 ========  =============  ====================================================
 POST      /jobs          resolve a point batch (same wire format as serve)
 GET       /jobs/<key>    look a finished result up by content key
-GET       /cache/<key>   **local-tier** cache lookup (the peer-cache wire:
-                         never recurses into the peer tier)
-PUT       /cache/<key>   store a peer's write-through replica locally
+POST      /cache/batch   **local-tier** lookup of ``{"keys": [...]}``;
+                         answers ``{"results": {key: result}}`` with the
+                         hits only (the peer-cache wire: never recurses
+                         into the peer tier)
+PUT       /cache/batch   store a peer's write-through replicas
+                         ``{"entries": [{"key", "result"}, ...]}`` locally
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
 GET       /healthz       liveness probe (the coordinator's health checks)
@@ -36,7 +39,7 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.aio import (
     AsyncHTTPServer,
@@ -47,6 +50,7 @@ from repro.cluster.aio import (
 from repro.cluster.peercache import PeerCacheBackend
 from repro.obs import MetricsRegistry, get_logger, get_tracer
 from repro.serve.core import Backpressure, ServiceCore
+from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import NetworkResult
 
 __all__ = ["ClusterWorker"]
@@ -236,8 +240,17 @@ class ClusterWorker:
                                       replicas=replicas)
             return sum(1 for node in nodes if node.rstrip("/") != own)
 
-    def _cache_lookup(self, key: str) -> Optional[NetworkResult]:
-        """Local-tier-only lookup behind ``GET /cache/<key>``.
+    def _local_tier(self) -> Optional[CacheBackend]:
+        """The cache's persistent backend, minus any peer tier over it."""
+        cache = self.core.cache
+        backend = cache.backend if cache is not None else None
+        if isinstance(backend, PeerCacheBackend):
+            return backend.local
+        return backend
+
+    def _cache_lookup_many(self, keys: List[str]
+                           ) -> Dict[str, NetworkResult]:
+        """Local-tier-only lookup behind ``POST /cache/batch``; the hits.
 
         Checks the cache's memory layer, then the local persistent tier --
         never the peer tier, so a peer's lookup terminates here instead of
@@ -245,32 +258,33 @@ class ClusterWorker:
         """
         cache = self.core.cache
         if cache is None:
-            return None
-        result = cache.peek_memory(key)
-        if result is not None:
-            return result
-        backend = cache.backend
-        if isinstance(backend, PeerCacheBackend):
-            return backend.local_load(key)
-        if backend is not None:
-            return backend.load(key)
-        return None
+            return {}
+        found: Dict[str, NetworkResult] = {}
+        for key in keys:
+            result = cache.peek_memory(key)
+            if result is not None:
+                found[key] = result
+        local = self._local_tier()
+        if local is not None:
+            found.update(local.load_many(
+                [key for key in keys if key not in found]))
+        return found
 
-    def _cache_store(self, key: str, result: NetworkResult) -> bool:
-        """Store a peer's write-through replica in the local tier only."""
+    def _cache_store_many(self,
+                          entries: List[Tuple[str, NetworkResult]]) -> int:
+        """Store a peer's write-through replicas in the local tier only."""
         cache = self.core.cache
         if cache is None:
-            return False
-        backend = cache.backend
-        if isinstance(backend, PeerCacheBackend):
-            backend.local_store(key, result, None)
-        elif backend is not None:
-            backend.store(key, result, None)
-        else:
-            # Memory-only worker without a peer tier yet: remember the
-            # replica in the memory layer so lookups can still serve it.
-            cache.put(key, result)
-        return True
+            return 0
+        local = self._local_tier()
+        for key, result in entries:
+            if local is not None:
+                local.store(key, result, None)
+            else:
+                # Memory-only worker without a peer tier yet: remember the
+                # replica in the memory layer so lookups can still serve it.
+                cache.put(key, result)
+        return len(entries)
 
     # -- request handling -----------------------------------------------------
 
@@ -293,12 +307,7 @@ class ClusterWorker:
                       responder: HTTPResponder) -> None:
         started = time.monotonic()
         path = request.path.rstrip("/") or "/"
-        if path.startswith("/jobs/"):
-            label = "/jobs/<key>"
-        elif path.startswith("/cache/"):
-            label = "/cache/<key>"
-        else:
-            label = path
+        label = "/jobs/<key>" if path.startswith("/jobs/") else path
         tracer = get_tracer()
         try:
             with tracer.remote_parent(request.headers.get("traceparent")):
@@ -352,26 +361,17 @@ class ClusterWorker:
                 await responder.send_json(404,
                                           {"error": f"no result for key "
                                                     f"{key!r}"})
-        elif method == "GET" and path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            result = await self._in_thread(self._cache_lookup, key)
-            if result is not None:
-                await responder.send_json(200, {"key": key,
-                                                "result": result.to_dict()})
-            else:
-                await responder.send_json(404,
-                                          {"error": f"no local result for "
-                                                    f"key {key!r}"})
-        elif method == "PUT" and path.startswith("/cache/"):
-            key = path[len("/cache/"):]
-            payload = request.json()
-            try:
-                result = NetworkResult.from_dict(payload["result"])
-            except (ValueError, KeyError, TypeError) as error:
-                raise RequestError(
-                    400, f"bad write-through payload: "
-                         f"{type(error).__name__}: {error}") from None
-            stored = await self._in_thread(self._cache_store, key, result)
+        elif method == "POST" and path == "/cache/batch":
+            keys = request.json().get("keys")
+            if not isinstance(keys, list) or \
+                    not all(isinstance(key, str) for key in keys):
+                raise RequestError(400, "'keys' must be a list of strings")
+            found = await self._in_thread(self._cache_lookup_many, keys)
+            await responder.send_json(200, {"results": {
+                key: result.to_dict() for key, result in found.items()}})
+        elif method == "PUT" and path == "/cache/batch":
+            entries = _replica_entries(request.json())
+            stored = await self._in_thread(self._cache_store_many, entries)
             await responder.send_json(200, {"ok": True, "stored": stored})
         elif method == "POST" and path == "/ring":
             payload = request.json()
@@ -451,6 +451,31 @@ class ClusterWorker:
         payload["role"] = "worker"
         payload["name"] = self.name
         return payload
+
+
+def _replica_entries(payload: Dict[str, object]
+                     ) -> List[Tuple[str, NetworkResult]]:
+    """Validate a ``PUT /cache/batch`` body into ``(key, result)`` pairs.
+
+    All or nothing: one malformed entry refuses the whole batch with 400,
+    so a peer never stores half of a request it was told was bad.
+    """
+    entries = payload.get("entries")
+    if not isinstance(entries, list):
+        raise RequestError(400, "'entries' must be a list of "
+                                "{'key', 'result'} objects")
+    parsed = []
+    for index, entry in enumerate(entries):
+        try:
+            key = entry["key"]
+            if not isinstance(key, str) or not key:
+                raise TypeError("'key' must be a non-empty string")
+            parsed.append((key, NetworkResult.from_dict(entry["result"])))
+        except (ValueError, KeyError, TypeError) as error:
+            raise RequestError(
+                400, f"bad write-through entry {index}: "
+                     f"{type(error).__name__}: {error}") from None
+    return parsed
 
 
 def worker_process_main(ready_queue, store_path: Optional[str] = None,

@@ -217,16 +217,14 @@ class ServiceCore:
         resolved: Dict[str, NetworkResult] = {}
         # Pass 1, no service lock: warm keys resolve straight from the
         # (internally locked) cache, so warm traffic never serialises behind
-        # another request's admission or bookkeeping.  peek(), not get():
-        # cold keys get their authoritative (counted) lookup inside
-        # executor.run, so misses are not double-counted in /stats.
-        for _, key in entries:
-            if key in statuses:
-                continue
-            cached = self.cache.peek(key) if self.cache is not None else None
-            if cached is not None:
-                statuses[key] = "cached"
-                resolved[key] = cached
+        # another request's admission or bookkeeping.  One batched lookup
+        # with misses uncounted (a peek): cold keys get their authoritative
+        # (counted) lookup inside executor.run, so misses are not
+        # double-counted in /stats.
+        if self.cache is not None:
+            resolved.update(self.cache.get_many(
+                (key for _, key in entries), count_misses=False))
+            statuses.update(dict.fromkeys(resolved, "cached"))
 
         waits: Dict[str, _Inflight] = {}
         own: List[Tuple[object, str]] = []

@@ -38,7 +38,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.sim.results import NetworkResult
 
@@ -110,6 +110,20 @@ class CacheBackend(abc.ABC):
     @abc.abstractmethod
     def load(self, key: str) -> Optional[NetworkResult]:
         """Return the stored result for ``key``, or ``None`` if absent/bad."""
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        """Load several keys at once; the returned dict holds only the hits.
+
+        The default asks :meth:`load` key by key.  Backends whose lookups
+        cost a round trip each (the cluster's peer tier) override it to
+        answer the whole set in one.
+        """
+        found: Dict[str, NetworkResult] = {}
+        for key in keys:
+            result = self.load(key)
+            if result is not None:
+                found[key] = result
+        return found
 
     @abc.abstractmethod
     def store(self, key: str, result: NetworkResult,
@@ -232,22 +246,22 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[NetworkResult]:
         """Return the cached result for ``key``, or ``None`` on a miss."""
-        return self._lookup(key, count_miss=True)
+        return self.get_many((key,)).get(key)
 
     def peek(self, key: str) -> Optional[NetworkResult]:
         """Like :meth:`get`, but a miss is not counted in the statistics.
 
-        For probe-style lookups (the service's pre-admission pass, result
-        lookups by key) that are followed by an authoritative :meth:`get`
-        -- or by nothing at all -- so hit-rate statistics stay meaningful.
+        For probe-style lookups (result lookups by key) that are followed
+        by an authoritative :meth:`get` -- or by nothing at all -- so
+        hit-rate statistics stay meaningful.
         """
-        return self._lookup(key, count_miss=False)
+        return self.get_many((key,), count_misses=False).get(key)
 
     def peek_memory(self, key: str) -> Optional[NetworkResult]:
         """Memory-layer-only :meth:`peek`: never touches the backend.
 
         For callers that must not trigger backend I/O -- in particular the
-        cluster worker's ``GET /cache/<key>`` peer endpoint, where a
+        cluster worker's ``POST /cache/batch`` peer endpoint, where a
         backend that is itself peer-aware would otherwise recurse into
         another network lookup.  Not counted in the statistics.
         """
@@ -257,33 +271,44 @@ class ResultCache:
                 self._memory.move_to_end(key)
             return result
 
-    def _lookup(self, key: str,
-                count_miss: bool) -> Optional[NetworkResult]:
+    def get_many(self, keys: Iterable[str],
+                 count_misses: bool = True) -> Dict[str, NetworkResult]:
+        """Look several keys up at once; the returned dict holds the hits.
+
+        Memory misses go to the backend in one :meth:`CacheBackend.load_many`
+        call, so a peer-aware backend asks each peer once for the whole
+        set.  ``count_misses=False`` is the batch form of :meth:`peek` (the
+        service's pre-admission pass).  Duplicate keys count once.
+        """
+        found: Dict[str, NetworkResult] = {}
+        missing = []
         with self._lock:
-            result = self._memory.get(key)
-            if result is not None:
+            for key in dict.fromkeys(keys):
+                result = self._memory.get(key)
+                if result is None:
+                    missing.append(key)
+                    continue
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                return result
+                found[key] = result
+        if not missing:
+            return found
         # Backend I/O runs outside the cache-wide lock (the backend carries
         # its own), so warm memory hits never serialise behind another
-        # thread's disk/SQLite access.  Concurrent same-key loads are
+        # thread's disk/SQLite/peer access.  Concurrent same-key loads are
         # idempotent: both threads remember the same stored result.
-        if self.backend is not None:
-            result = self.backend.load(key)
-            with self._lock:
+        loaded = (self.backend.load_many(missing)
+                  if self.backend is not None else {})
+        with self._lock:
+            if self.backend is not None:
                 self.stats.invalid_disk_entries = self.backend.invalid_entries
-                if result is not None:
-                    self._remember(key, result)
-                    self.stats.disk_hits += 1
-                    return result
-                if count_miss:
-                    self.stats.misses += 1
-                return None
-        if count_miss:
-            with self._lock:
-                self.stats.misses += 1
-        return None
+            for key, result in loaded.items():
+                self._remember(key, result)
+            self.stats.disk_hits += len(loaded)
+            if count_misses:
+                self.stats.misses += len(missing) - len(loaded)
+        found.update(loaded)
+        return found
 
     def __contains__(self, key: str) -> bool:
         with self._lock:

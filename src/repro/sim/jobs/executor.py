@@ -285,11 +285,14 @@ class JobExecutor:
         pending: List[SimJob] = []
         pending_keys: List[str] = []
         with self._phase("cache_lookup", jobs=total):
-            for index, (job, key) in enumerate(zip(jobs, keys)):
-                if key in statuses:
-                    continue
-                first_index[key] = index
-                cached = self.cache.get(key)
+            for index, key in enumerate(keys):
+                first_index.setdefault(key, index)
+            # One batched lookup: a peer-aware backend asks each peer once
+            # for every memory miss instead of once per key.
+            hits = self.cache.get_many(first_index)
+            for key, index in first_index.items():
+                job = jobs[index]
+                cached = hits.get(key)
                 if cached is not None:
                     resolved[key] = cached
                     statuses[key] = "cached"

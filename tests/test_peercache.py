@@ -18,6 +18,7 @@ The acceptance contract of the peer-cache ISSUE:
 import contextlib
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -45,6 +46,14 @@ def _result(cycles=100.0, network="netA", accelerator="AccX"):
     result.add(LayerResult(layer_name="conv1", layer_kind="conv",
                            cycles=cycles, energy_pj=5.5, macs=10))
     return result
+
+
+def _post(url, payload, method="POST"):
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method=method)
+    with urllib.request.urlopen(request, timeout=10.0) as response:
+        return json.loads(response.read().decode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -105,7 +114,7 @@ class TestPeerCacheUnit:
         # contacted; a local hit must answer before routing even matters.
         backend.configure(["http://self:1", "http://peer:1"],
                           self_url="http://self:1")
-        backend.local_store(KEY, _result())
+        backend.local.store(KEY, _result())
         loaded = backend.load(KEY)
         assert loaded is not None
         assert loaded.to_dict() == _result().to_dict()
@@ -187,12 +196,12 @@ class TestPeerCacheUnit:
         release = threading.Event()
         shared = _result(cycles=7.0)
 
-        def fake_fetch(peer, key):
-            fetches.append((peer, key))
+        def fake_ask_peers(asks, deadline):
+            fetches.append(asks)
             release.wait(timeout=5.0)
-            return shared
+            return {key: shared for keys in asks.values() for key in keys}
 
-        backend._fetch_from_peer = fake_fetch
+        backend._ask_peers = fake_ask_peers
         outcomes = []
         threads = [threading.Thread(
             target=lambda: outcomes.append(backend.load(KEY)))
@@ -219,11 +228,10 @@ class TestPeerCacheUnit:
             backend.store(KEY, _result(cycles=9.0))
             assert backend.flush_writes(timeout_s=10.0)
             assert backend.peer_writes == 1
-            request = urllib.request.Request(b.url + f"/cache/{KEY}")
-            with urllib.request.urlopen(request, timeout=10.0) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-            assert payload["key"] == KEY
-            assert NetworkResult.from_dict(payload["result"]).to_dict() \
+            payload = _post(b.url + "/cache/batch", {"keys": [KEY]})
+            assert list(payload["results"]) == [KEY]
+            assert NetworkResult.from_dict(
+                payload["results"][KEY]).to_dict() \
                 == _result(cycles=9.0).to_dict()
 
     def test_timeout_must_be_positive(self):
@@ -233,10 +241,10 @@ class TestPeerCacheUnit:
     def test_memory_tier_bounds_entries_lru(self):
         backend = PeerCacheBackend(max_memory_entries=2)
         for index in range(3):
-            backend.local_store(f"key-{index}" * 8, _result(cycles=index))
+            backend.local.store(f"key-{index}" * 8, _result(cycles=index))
         assert len(backend) == 2
-        assert backend.local_load("key-0" * 8) is None  # evicted oldest
-        assert backend.local_load("key-2" * 8) is not None
+        assert backend.local.load("key-0" * 8) is None  # evicted oldest
+        assert backend.local.load("key-2" * 8) is not None
         backend.close()
 
     def test_stats_dict_reports_peer_counters(self):
@@ -252,6 +260,224 @@ class TestPeerCacheUnit:
                 "peer_writes", "peer_write_errors"} <= set(stats)
         assert "local" in stats
         backend.close()
+
+
+class TestBatchWire:
+    """One request per peer per batch, in both directions."""
+
+    def test_a_batch_asks_each_peer_once(self):
+        with ClusterWorker() as a, ClusterWorker() as b:
+            backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                       timeout_s=5.0, write_through=False)
+            backend.configure([a.url, b.url, "http://nowhere:1"],
+                              self_url="http://nowhere:1")
+            workers = {a.url: a, b.url: b}
+            stored = {"a" * 64: _result(cycles=1.0),
+                      "b" * 64: _result(cycles=2.0)}
+            for key, result in stored.items():
+                workers[backend.peer_for(key)].core.cache.put(key, result)
+            keys = [f"k{index:063x}" for index in range(40)] + list(stored)
+            owners = {backend.peer_for(key) for key in keys}
+            found = backend.load_many(keys)
+            assert {key: result.to_dict() for key, result in found.items()} \
+                == {key: result.to_dict() for key, result in stored.items()}
+            assert backend.peer_hits == len(stored)
+            assert backend.peer_misses == len(keys) - len(stored)
+
+            def batch_requests():
+                return sum(worker._requests_total.value(
+                    path="/cache/batch", status="200")
+                    for worker in workers.values())
+
+            assert batch_requests() == len(owners)
+            # The hits were copied locally: asking again costs nothing.
+            assert backend.load_many(list(stored)).keys() == stored.keys()
+            assert batch_requests() == len(owners)
+            backend.close()
+
+    def test_slow_peer_costs_each_abandoned_key_within_one_budget(self):
+        with black_hole() as url:
+            backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                       timeout_s=0.3)
+            backend.configure([url, "http://nowhere:1"],
+                              self_url="http://nowhere:1")
+            keys = [f"k{index:063x}" for index in range(5)]
+            started = time.monotonic()
+            assert backend.load_many(keys) == {}
+            assert time.monotonic() - started < 2.0  # one budget, not five
+            assert backend.peer_timeouts == len(keys)  # counted per key
+            backend.close()
+
+    def test_write_through_coalesces_into_batches(self):
+        with ClusterWorker() as peer:
+            backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                       timeout_s=5.0)
+            backend.configure([peer.url, "http://nowhere:1"],
+                              self_url="http://nowhere:1")
+            keys = [f"k{index:063x}" for index in range(30)]
+            for index, key in enumerate(keys):
+                backend.store(key, _result(cycles=float(index)))
+            assert backend.flush_writes(timeout_s=10.0)
+            assert backend.peer_writes == len(keys)
+            assert backend.peer_write_errors == 0
+            requests = peer._requests_total.value(path="/cache/batch",
+                                                  status="200")
+            assert 1 <= requests < len(keys)
+            answers = _post(peer.url + "/cache/batch", {"keys": keys})
+            assert sorted(answers["results"]) == sorted(keys)
+            backend.close()
+
+    def test_concurrent_stores_lose_no_replica(self):
+        # Storing threads race the I/O loop's drain of the per-peer queue.
+        # A store landing just as the drain finds the queue empty must
+        # still be sent: a lost update strands a replica, and the flush
+        # at the end of the round then times out.
+        with ClusterWorker() as peer:
+            backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                       timeout_s=5.0)
+            backend.configure([peer.url, "http://nowhere:1"],
+                              self_url="http://nowhere:1")
+            keys = [f"k{index:063x}" for index in range(160)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for start in range(0, len(keys), 8):
+                    threads = [threading.Thread(
+                        target=lambda key=key, delay=index / 2000.0: (
+                            time.sleep(delay),
+                            backend.store(key, _result())))
+                        for index, key in enumerate(keys[start:start + 8])]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert backend.flush_writes(timeout_s=2.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert backend.peer_writes == len(keys)
+            assert backend.peer_write_errors == 0
+            answers = _post(peer.url + "/cache/batch", {"keys": keys})
+            assert sorted(answers["results"]) == sorted(keys)
+            backend.close()
+
+    def test_batches_split_to_fit_the_body_limit(self, monkeypatch):
+        from repro.cluster import aio
+
+        # Small enough that 30 replicas (and the 30-key lookup body) need
+        # several requests; the peer's parser enforces the same limit, so
+        # an unsplit body would be refused with 413.
+        monkeypatch.setattr(aio, "MAX_BODY_BYTES", 1024)
+        with ClusterWorker() as peer:
+            writer = PeerCacheBackend(self_url="http://nowhere:1",
+                                      timeout_s=5.0)
+            writer.configure([peer.url, "http://nowhere:1"],
+                             self_url="http://nowhere:1")
+            keys = [f"k{index:063x}" for index in range(30)]
+            for index, key in enumerate(keys):
+                writer.store(key, _result(cycles=float(index)))
+            assert writer.flush_writes(timeout_s=10.0)
+            assert writer.peer_write_errors == 0
+            assert writer.peer_writes == len(keys)
+            assert writer._batch_keys.count(op="replicate") > 1
+            reader = PeerCacheBackend(self_url="http://nowhere:1",
+                                      timeout_s=5.0, write_through=False)
+            reader.configure([peer.url, "http://nowhere:1"],
+                             self_url="http://nowhere:1")
+            found = reader.load_many(keys)
+            assert reader._batch_keys.count(op="lookup") > 1
+            assert sorted(found) == sorted(keys)
+            for index, key in enumerate(keys):
+                assert found[key].to_dict() \
+                    == _result(cycles=float(index)).to_dict()
+            writer.close()
+            reader.close()
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"keys": "k" * 64},
+        {"keys": [1, 2]},
+        {"keys": [KEY, None]},
+    ])
+    def test_bad_lookup_batch_answers_400(self, payload):
+        with ClusterWorker() as worker:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(worker.url + "/cache/batch", payload)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("entries", [
+        None,
+        {"key": KEY},
+        ["not an object"],
+        [{"key": KEY}],
+        [{"result": _result().to_dict()}],
+        [{"key": 7, "result": _result().to_dict()}],
+        [{"key": "", "result": _result().to_dict()}],
+        [{"key": KEY, "result": {"network": "n"}}],
+        [{"key": KEY, "result": "nope"}],
+    ])
+    def test_bad_replica_batch_answers_400_and_stores_nothing(self, entries):
+        good = {"key": "g" * 64, "result": _result().to_dict()}
+        payload = {"entries": [good] + entries
+                   if isinstance(entries, list) else entries}
+        with ClusterWorker() as worker:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(worker.url + "/cache/batch", payload, method="PUT")
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+            assert _post(worker.url + "/cache/batch",
+                         {"keys": ["g" * 64]}) == {"results": {}}
+
+    def test_per_key_routes_are_gone(self):
+        with ClusterWorker() as worker:
+            worker.core.cache.put(KEY, _result())
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(worker.url + f"/cache/{KEY}",
+                                       timeout=10.0)
+            excinfo.value.close()
+            assert excinfo.value.code == 404
+
+    def test_batches_are_traced_and_measured(self):
+        from repro.obs import Tracer, set_tracer
+
+        tracer = Tracer(service="t")
+        previous = set_tracer(tracer)
+        try:
+            with ClusterWorker() as peer:
+                backend = PeerCacheBackend(self_url="http://nowhere:1",
+                                           timeout_s=5.0)
+                backend.configure([peer.url, "http://nowhere:1"],
+                                  self_url="http://nowhere:1")
+                keys = [f"k{index:063x}" for index in range(3)]
+                assert backend.load_many(keys) == {}
+                backend.store(KEY, _result())
+                assert backend.flush_writes(timeout_s=10.0)
+                backend.close()
+        finally:
+            set_tracer(previous)
+        spans = {span.name: span for span in tracer.recorder.spans()}
+        assert spans["peercache.lookup"].attrs == {"peer": peer.url,
+                                                   "keys": 3}
+        assert spans["peercache.replicate"].attrs == {"peer": peer.url,
+                                                      "keys": 1}
+        # The peer joined both traces: its handler spans are children.
+        handlers = [span for span in tracer.recorder.spans()
+                    if span.name.startswith("worker.")]
+        assert {span.parent_id for span in handlers} == {
+            spans["peercache.lookup"].span_id,
+            spans["peercache.replicate"].span_id}
+        assert backend._batch_keys.count(op="lookup") == 1
+        assert backend._batch_keys.count(op="replicate") == 1
+
+    def test_worker_metrics_page_shows_the_batch_histogram(self):
+        with peer_cluster(n=2) as (coordinator, workers, client):
+            client.submit_points(MATRIX[:2])
+            for worker in workers:
+                assert worker.peer_cache.flush_writes(timeout_s=30.0)
+            text = "".join(worker.metrics.render() for worker in workers)
+        assert 'loom_peer_cache_batch_keys_count{op="lookup"}' in text
+        assert 'loom_peer_cache_batch_keys_count{op="replicate"}' in text
 
 
 class TestRingPush:
@@ -317,14 +543,27 @@ class TestFailoverCacheHits:
             # Let every write-through replica land before the kill.
             for worker in workers:
                 assert worker.peer_cache.flush_writes(timeout_s=30.0)
-            victim, survivor = workers
+            # The victim owns a MATRIX key whatever ports the OS assigned
+            # (all six keys can land on one shard).
+            owner = coordinator.ring.node_for(first[0].key)
+            victim = next(w for w in workers if w.url == owner)
             victim_keys = [entry.key for entry in first
                            if coordinator.ring.node_for(entry.key)
                            == victim.url]
-            assert victim_keys  # six keys over two shards: both own some
+            assert victim_keys
+            survivor = next(w for w in workers if w is not victim)
+
+            def survivor_lookups():
+                return survivor._requests_total.value(path="/cache/batch",
+                                                      status="200")
+
+            lookups_before = survivor_lookups()
             victim._server.stop(drain_timeout_s=0.0)
 
             again = client.submit_points(MATRIX)
+            # One batched probe for all of the dead shard's keys (the
+            # survivor's own peer tier only asks the dead victim).
+            assert survivor_lookups() - lookups_before == 1
             assert [entry.key for entry in again] \
                 == [entry.key for entry in first]
             # >= 90% of the dead shard's already-simulated keys must come
