@@ -60,6 +60,7 @@ from repro.cluster.ratelimit import RateLimiter
 from repro.cluster.ring import ConsistentHashRing
 from repro.obs import MetricsRegistry, Span, get_logger, get_tracer
 from repro.serve.client import compute_backoff
+from repro.sim import codec
 from repro.sim.jobs import ExecutorStats
 from repro.sim.results import NetworkResult
 
@@ -603,16 +604,28 @@ class ClusterCoordinator:
                        for key in by_key}
 
         async def _ask(url: str, keys: List[str]) -> Dict[str, object]:
+            """One survivor's hits, decoded from frames into dict form
+            (a frame that does not decode is a miss)."""
             try:
                 reply = await fetch(url, "POST", "/cache/batch",
                                     payload={"keys": keys},
                                     timeout_s=self.peer_timeout_s)
-                answers = reply.json()["results"] \
-                    if reply.status == 200 else {}
+                entries = codec.decode_entries(reply.body) \
+                    if reply.status == 200 else []
             except (ConnectionError, OSError, asyncio.TimeoutError,
-                    ValueError, KeyError, TypeError):
+                    ValueError):
                 return {}
-            return answers if isinstance(answers, Mapping) else {}
+            wanted = set(keys)
+            answers: Dict[str, object] = {}
+            for key, frame in entries:
+                if key not in wanted:
+                    continue
+                try:
+                    (result,) = codec.decode(frame)
+                except ValueError:
+                    continue
+                answers[key] = result.to_dict()
+            return answers
 
         unresolved = list(by_key)
         rounds = max((len(urls) for urls in preferences.values()), default=0)

@@ -17,9 +17,11 @@ peer in each direction, not one per key:
 * **load_many** -- the local misses of a whole lookup are grouped by each
   key's ring-preferred peer (the node a re-routed key would land on), and
   each peer is asked once, over ``POST /cache/batch {"keys": [...]}``,
-  before the caller pays for simulations.  Peers are asked concurrently.
+  before the caller pays for simulations.  Peers are asked concurrently
+  and answer with a batch of keyed result frames (:mod:`repro.sim.codec`).
   Peer answers are copied into the local tier, so each key crosses the
-  network at most once per shard.  :meth:`~PeerCacheBackend.load` is a
+  network at most once per shard.  A frame that does not decode is an
+  invalid miss.  :meth:`~PeerCacheBackend.load` is a
   batch of one.
 * **single-flight** -- a key already in flight in another thread's batch
   is joined, not re-asked; followers wait on the leader's outcome instead
@@ -34,9 +36,11 @@ peer in each direction, not one per key:
   ring *successor* when it is.  That is precisely the shard the key will be
   re-routed to if this one dies, which is what keeps re-routed keys warm
   across failover.  The I/O loop sends everything queued for a peer as one
-  ``PUT /cache/batch {"entries": [...]}`` (split so no body exceeds
-  :data:`repro.cluster.aio.MAX_BODY_BYTES`); stores that arrive while that
-  request is in flight ride the next one.  Fire and forget.
+  ``PUT /cache/batch`` whose body is a batch of keyed frames (split so no
+  body exceeds :data:`repro.cluster.aio.MAX_BODY_BYTES`); stores that
+  arrive while that request is in flight ride the next one.  Each result
+  is encoded once: the same frame goes to the local SQLite store and to
+  the peer, which stores it as received.  Fire and forget.
 
 The peer target for both directions is ``ring.node_for(key,
 exclude={self})``: for a non-owner that is the owner; for the owner it is
@@ -63,7 +67,8 @@ from repro.cluster.aio import HTTPReply, fetch
 from repro.cluster.ring import ConsistentHashRing
 from repro.obs import get_logger, get_tracer
 from repro.obs.metrics import PEER_LATENCY_BUCKETS, MetricsRegistry
-from repro.sim.jobs.cache import CacheBackend
+from repro.sim import codec
+from repro.sim.jobs.cache import CacheBackend, Spec
 from repro.sim.results import NetworkResult
 
 __all__ = ["PeerCacheBackend"]
@@ -87,27 +92,25 @@ def _log_unexpected_failure(future: concurrent.futures.Future) -> None:
                          f"{future.exception()}")
 
 
-def _json_bodies(field: str, parts: Sequence[bytes]
-                 ) -> Iterator[Tuple[bytes, int]]:
-    """Pack encoded JSON values into ``{field: [...]}`` request bodies.
+def _bodies(parts: Sequence[bytes], head: bytes, tail: bytes = b"",
+            sep: bytes = b"") -> Iterator[Tuple[bytes, int]]:
+    """Join encoded parts into ``head + part sep part ... + tail`` bodies.
 
     Yields ``(body, count)`` pairs, in order, each body within
     :data:`repro.cluster.aio.MAX_BODY_BYTES` (read at call time).  A single
-    value too large for any body is sent alone; the peer answers it 413.
+    part too large for any body is sent alone; the peer answers it 413.
     """
-    head = b'{"' + field.encode("ascii") + b'": ['
-    tail = b"]}"
     limit = aio.MAX_BODY_BYTES - len(head) - len(tail)
     batch: List[bytes] = []
     size = 0
     for part in parts:
-        if batch and size + 1 + len(part) > limit:
-            yield head + b",".join(batch) + tail, len(batch)
+        if batch and size + len(sep) + len(part) > limit:
+            yield head + sep.join(batch) + tail, len(batch)
             batch, size = [], 0
-        size += len(part) + (1 if batch else 0)
+        size += len(part) + (len(sep) if batch else 0)
         batch.append(part)
     if batch:
-        yield head + b",".join(batch) + tail, len(batch)
+        yield head + sep.join(batch) + tail, len(batch)
 
 
 class _Flight:
@@ -148,7 +151,7 @@ class _MemoryTier(CacheBackend):
             return result
 
     def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
+              spec: Spec = None) -> None:
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
@@ -228,9 +231,10 @@ class PeerCacheBackend(CacheBackend):
         self._lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
         self._cooldown_until: Dict[str, float] = {}
-        #: Write-through replicas waiting for their peer's next request,
-        #: and the replication task of each peer with one running.
-        self._write_queue: Dict[str, List[Tuple[str, NetworkResult]]] = {}
+        #: Write-through replicas (``(key, frame)``) waiting for their
+        #: peer's next request, and the replication task of each peer with
+        #: one running.
+        self._write_queue: Dict[str, List[Tuple[str, bytes]]] = {}
         self._writers: Dict[str, concurrent.futures.Future] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -321,19 +325,22 @@ class PeerCacheBackend(CacheBackend):
                     asks.setdefault(peer, []).append(key)
         self._count(timeouts=cooled)
         if asks:
-            fetched: Dict[str, NetworkResult] = {}
+            fetched: Dict[str, Tuple[NetworkResult, bytes]] = {}
             try:
                 fetched = self._ask_peers(asks, deadline)
-                for key, result in fetched.items():
-                    self.local.store(key, result, None)
+                self.local.store_encoded([
+                    (key, result, frame, None)
+                    for key, (result, frame) in fetched.items()])
             finally:
                 with self._lock:
                     flights = [(key, self._inflight.pop(key))
                                for group in asks.values() for key in group]
                 for key, flight in flights:
-                    flight.result = fetched.get(key)
+                    hit = fetched.get(key)
+                    flight.result = hit[0] if hit else None
                     flight.event.set()
-            found.update(fetched)
+            found.update((key, result)
+                         for key, (result, _) in fetched.items())
         for key, flight in joined.items():
             flight.event.wait(max(0.0, deadline - time.monotonic()))
             if flight.result is not None:
@@ -341,27 +348,45 @@ class PeerCacheBackend(CacheBackend):
         return found
 
     def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
-        self.local.store(key, result, spec)
-        if not self.write_through:
+              spec: Spec = None) -> None:
+        self.store_many([(key, result, spec)])
+
+    def store_many(self, entries: Sequence[
+            Tuple[str, NetworkResult, Spec]]) -> None:
+        """Store locally, then queue each replica for its failover peer.
+
+        A result is encoded at most once: the frame the local store keeps
+        is the frame the peer receives.
+        """
+        peers = ([self.peer_for(key) for key, _, _ in entries]
+                 if self.write_through else [None] * len(entries))
+        if not any(peers):
+            self.local.store_many(entries)
             return
-        peer = self.peer_for(key)
-        if peer is None:
-            return
+        frames = [codec.encode([result]) for _, result, _ in entries]
+        self.local.store_encoded([(key, result, frame, spec)
+                                  for (key, result, spec), frame
+                                  in zip(entries, frames)])
         try:
             loop = self._ensure_loop()
         except RuntimeError:  # closed mid-store
             return
+        started = []
         with self._lock:
             if self._closed:  # close() stops the loop once this is set
                 return
-            self._write_queue.setdefault(peer, []).append((key, result))
-            if peer in self._writers:
-                return  # rides the request after the one in flight
-            writer = asyncio.run_coroutine_threadsafe(
-                self._replicate(peer), loop)
-            self._writers[peer] = writer
-        writer.add_done_callback(_log_unexpected_failure)
+            for (key, _, _), frame, peer in zip(entries, frames, peers):
+                if peer is None:
+                    continue
+                self._write_queue.setdefault(peer, []).append((key, frame))
+                if peer in self._writers:
+                    continue  # rides the request after the one in flight
+                writer = asyncio.run_coroutine_threadsafe(
+                    self._replicate(peer), loop)
+                self._writers[peer] = writer
+                started.append(writer)
+        for writer in started:
+            writer.add_done_callback(_log_unexpected_failure)
 
     def contains(self, key: str) -> bool:
         """Local tier only: membership probes must not pay network I/O."""
@@ -427,12 +452,12 @@ class PeerCacheBackend(CacheBackend):
         ready.wait(timeout=5.0)
         return loop
 
-    def _ask_peers(self, asks: Dict[str, List[str]],
-                   deadline: float) -> Dict[str, NetworkResult]:
+    def _ask_peers(self, asks: Dict[str, List[str]], deadline: float
+                   ) -> Dict[str, Tuple[NetworkResult, bytes]]:
         """Ask every peer for its keys at once, all under ``deadline``.
 
         One ``POST /cache/batch`` per peer (more only if the keys overflow
-        one body).  Returns the hits.  A peer that times out or fails
+        one body).  Returns the hits as ``(result, frame)``.  A peer that times out or fails
         costs its keys as ``peer_timeouts``; nothing here may raise -- the
         caller always has local compute to fall back on.
         """
@@ -446,14 +471,14 @@ class PeerCacheBackend(CacheBackend):
         for peer, keys in asks.items():
             parts = [json.dumps(key).encode("utf-8") for key in keys]
             start = 0
-            for body, count in _json_bodies("keys", parts):
+            for body, count in _bodies(parts, b'{"keys": [', b"]}", b","):
                 chunk = keys[start:start + count]
                 start += count
                 requests.append((peer, chunk, asyncio.run_coroutine_threadsafe(
                     self._lookup(peer, count, body, deadline), loop)))
         concurrent.futures.wait([future for _, _, future in requests],
                                 timeout=max(0.0, deadline - time.monotonic()))
-        found: Dict[str, NetworkResult] = {}
+        found: Dict[str, Tuple[NetworkResult, bytes]] = {}
         for peer, keys, future in requests:
             if not future.done():
                 future.cancel()
@@ -490,18 +515,31 @@ class PeerCacheBackend(CacheBackend):
                 self._fetch_seconds.observe(time.monotonic() - started)
                 self._batch_keys.observe(keys, op="lookup")
 
-    def _parse_lookup(self, reply: HTTPReply,
-                      keys: List[str]) -> Dict[str, NetworkResult]:
-        """The hits in one batch reply; a key it lacks is a miss."""
-        found: Dict[str, NetworkResult] = {}
+    def _parse_lookup(self, reply: HTTPReply, keys: List[str]
+                      ) -> Dict[str, Tuple[NetworkResult, bytes]]:
+        """The hits in one batch reply as ``(result, frame)``; a key it
+        lacks is a miss.
+
+        A reply that is not a frame batch, or a frame that does not decode
+        to one result, counts in ``invalid_entries`` and its keys miss.
+        """
+        found: Dict[str, Tuple[NetworkResult, bytes]] = {}
         if reply.status == 200:
+            wanted = set(keys)
             try:
-                answers = reply.json()["results"]
-                for key in keys:
-                    if key in answers:
-                        found[key] = NetworkResult.from_dict(answers[key])
-            except (ValueError, KeyError, TypeError):
+                entries = codec.decode_entries(reply.body)
+            except ValueError:
+                entries = []
                 self.invalid_entries += 1
+            for key, frame in entries:
+                if key not in wanted:
+                    continue
+                try:
+                    (result,) = codec.decode(frame)
+                except ValueError:
+                    self.invalid_entries += 1
+                else:
+                    found[key] = (result, frame)
         self._count(hits=len(found), misses=len(keys) - len(found))
         return found
 
@@ -538,11 +576,9 @@ class PeerCacheBackend(CacheBackend):
                     if not entries:
                         del self._writers[peer]
                         return
-                parts = [json.dumps({"key": key,
-                                     "result": result.to_dict()}
-                                    ).encode("utf-8")
-                         for key, result in entries]
-                for body, count in _json_bodies("entries", parts):
+                parts = [codec.encode_entry(key, frame)
+                         for key, frame in entries]
+                for body, count in _bodies(parts, codec.BATCH_HEADER):
                     stored = await self._send_replicas(peer, body, count)
                     with self._lock:
                         if stored:
@@ -560,8 +596,10 @@ class PeerCacheBackend(CacheBackend):
         self._batch_keys.observe(count, op="replicate")
         with get_tracer().span("peercache.replicate", peer=peer, keys=count):
             try:
-                reply = await fetch(peer, "PUT", "/cache/batch", body=body,
-                                    timeout_s=self.timeout_s)
+                reply = await fetch(
+                    peer, "PUT", "/cache/batch", body=body,
+                    timeout_s=self.timeout_s,
+                    headers={"Content-Type": codec.FRAME_CONTENT_TYPE})
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     ValueError):
                 return False

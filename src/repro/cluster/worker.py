@@ -12,11 +12,12 @@ method    path           behaviour
 POST      /jobs          resolve a point batch (same wire format as serve)
 GET       /jobs/<key>    look a finished result up by content key
 POST      /cache/batch   **local-tier** lookup of ``{"keys": [...]}``;
-                         answers ``{"results": {key: result}}`` with the
-                         hits only (the peer-cache wire: never recurses
-                         into the peer tier)
-PUT       /cache/batch   store a peer's write-through replicas
-                         ``{"entries": [{"key", "result"}, ...]}`` locally
+                         answers the hits only, as a batch of keyed codec
+                         frames (the peer-cache wire: never recurses into
+                         the peer tier)
+PUT       /cache/batch   store a peer's write-through replicas, a batch of
+                         keyed codec frames, locally (400 if any frame
+                         does not decode)
 POST      /ring          accept ring membership from the coordinator and
                          activate the peer cache tier
 GET       /healthz       liveness probe (the coordinator's health checks)
@@ -50,6 +51,8 @@ from repro.cluster.aio import (
 from repro.cluster.peercache import PeerCacheBackend
 from repro.obs import MetricsRegistry, get_logger, get_tracer
 from repro.serve.core import Backpressure, ServiceCore
+from repro.serve.store import SQLiteResultStore
+from repro.sim import codec
 from repro.sim.jobs.cache import CacheBackend
 from repro.sim.results import NetworkResult
 
@@ -270,20 +273,25 @@ class ClusterWorker:
                 [key for key in keys if key not in found]))
         return found
 
-    def _cache_store_many(self,
-                          entries: List[Tuple[str, NetworkResult]]) -> int:
-        """Store a peer's write-through replicas in the local tier only."""
+    def _cache_store_many(
+            self, entries: List[Tuple[str, NetworkResult, bytes]]) -> int:
+        """Store a peer's write-through replicas in the local tier only.
+
+        ``entries`` are ``(key, result, frame)``: a SQLite store writes
+        the received frames as they are, in one transaction.
+        """
         cache = self.core.cache
         if cache is None:
             return 0
         local = self._local_tier()
-        for key, result in entries:
-            if local is not None:
-                local.store(key, result, None)
-            else:
-                # Memory-only worker without a peer tier yet: remember the
-                # replica in the memory layer so lookups can still serve it.
-                cache.put(key, result)
+        if local is None:
+            # Memory-only worker without a peer tier yet: remember the
+            # replicas in the memory layer so lookups can still serve them.
+            cache.put_many([(key, result, None)
+                            for key, result, _ in entries])
+        else:
+            local.store_encoded([(key, result, frame, None)
+                                 for key, result, frame in entries])
         return len(entries)
 
     # -- request handling -----------------------------------------------------
@@ -366,11 +374,12 @@ class ClusterWorker:
             if not isinstance(keys, list) or \
                     not all(isinstance(key, str) for key in keys):
                 raise RequestError(400, "'keys' must be a list of strings")
-            found = await self._in_thread(self._cache_lookup_many, keys)
-            await responder.send_json(200, {"results": {
-                key: result.to_dict() for key, result in found.items()}})
+            body = await self._in_thread(lambda: codec.encode_entries(
+                (key, codec.encode([result]))
+                for key, result in self._cache_lookup_many(keys).items()))
+            await responder.send(200, body, codec.FRAME_CONTENT_TYPE)
         elif method == "PUT" and path == "/cache/batch":
-            entries = _replica_entries(request.json())
+            entries = await self._in_thread(_replica_entries, request.body)
             stored = await self._in_thread(self._cache_store_many, entries)
             await responder.send_json(200, {"ok": True, "stored": stored})
         elif method == "POST" and path == "/ring":
@@ -453,28 +462,27 @@ class ClusterWorker:
         return payload
 
 
-def _replica_entries(payload: Dict[str, object]
-                     ) -> List[Tuple[str, NetworkResult]]:
-    """Validate a ``PUT /cache/batch`` body into ``(key, result)`` pairs.
+def _replica_entries(body: bytes
+                     ) -> List[Tuple[str, NetworkResult, bytes]]:
+    """Validate a ``PUT /cache/batch`` frame batch into ``(key, result,
+    frame)`` triples; each frame must decode to exactly one result.
 
     All or nothing: one malformed entry refuses the whole batch with 400,
     so a peer never stores half of a request it was told was bad.
     """
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        raise RequestError(400, "'entries' must be a list of "
-                                "{'key', 'result'} objects")
+    try:
+        entries = codec.decode_entries(body)
+    except ValueError as error:
+        raise RequestError(400, f"bad write-through batch: {error}") \
+            from None
     parsed = []
-    for index, entry in enumerate(entries):
+    for index, (key, frame) in enumerate(entries):
         try:
-            key = entry["key"]
-            if not isinstance(key, str) or not key:
-                raise TypeError("'key' must be a non-empty string")
-            parsed.append((key, NetworkResult.from_dict(entry["result"])))
-        except (ValueError, KeyError, TypeError) as error:
+            (result,) = codec.decode(frame)
+        except ValueError as error:
             raise RequestError(
-                400, f"bad write-through entry {index}: "
-                     f"{type(error).__name__}: {error}") from None
+                400, f"bad write-through entry {index}: {error}") from None
+        parsed.append((key, result, frame))
     return parsed
 
 
@@ -497,7 +505,6 @@ def worker_process_main(ready_queue, store_path: Optional[str] = None,
     import signal
 
     from repro.obs import Tracer, configure_logging, set_tracer
-    from repro.serve.store import SQLiteResultStore
     from repro.sim.jobs import JobExecutor
     from repro.sim.jobs.cache import ResultCache
 

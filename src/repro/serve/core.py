@@ -220,7 +220,9 @@ class ServiceCore:
         # another request's admission or bookkeeping.  One batched lookup
         # with misses uncounted (a peek): cold keys get their authoritative
         # (counted) lookup inside executor.run, so misses are not
-        # double-counted in /stats.
+        # double-counted in /stats.  That lookup re-checks only the memory
+        # layer for them: this pass already asked the backend (and through
+        # it every peer), and asking again would double the peer traffic.
         if self.cache is not None:
             resolved.update(self.cache.get_many(
                 (key for _, key in entries), count_misses=False))
@@ -264,8 +266,9 @@ class ServiceCore:
             results: List[NetworkResult] = []
             try:
                 with self._execute_lock:
-                    results = self.executor.run([job for job, _ in own],
-                                                engine=self.engine)
+                    results = self.executor.run(
+                        [job for job, _ in own], engine=self.engine,
+                        backend_misses=[key for _, key in own])
             except BaseException as exc:  # always publish, even on error
                 error = exc
             finally:

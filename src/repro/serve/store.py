@@ -19,9 +19,12 @@ SQLite database:
   a long-running service's store converges on its hot set instead of growing
   forever.
 
-Payload rows carry the same ``format`` tag as the JSON backend; a row whose
-payload does not parse or whose format/key mismatch is deleted, counted in
-``invalid_entries`` and treated as a miss.
+Each row holds its result as a BLOB: one binary frame of
+:mod:`repro.sim.codec`, whose version the row's ``format`` column repeats.
+A row whose frame does not decode, or whose format is not the codec's, is
+deleted, counted in ``invalid_entries`` and treated as a miss.  A batch of
+stores (:meth:`~SQLiteResultStore.store_many`) commits in one transaction
+with one LRU eviction pass.
 
 All operations are serialised behind one internal lock (SQLite connections
 are not thread-safe by themselves); cross-process serialisation is SQLite's
@@ -36,22 +39,27 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.sim.jobs.cache import CacheBackend, _FORMAT
+from repro.sim import codec
+from repro.sim.jobs.cache import CacheBackend, Spec
 from repro.sim.results import NetworkResult
 
 __all__ = ["SQLiteResultStore", "SCHEMA_VERSION"]
 
 #: Database schema version (``PRAGMA user_version``); bump on layout changes.
-SCHEMA_VERSION = 1
+#: Version 2 stores results as codec frames (BLOB) instead of JSON text.
+SCHEMA_VERSION = 2
+
+#: Keys per ``WHERE key IN (...)`` statement (below SQLite's variable limit).
+_KEYS_PER_QUERY = 500
 
 _CREATE_RESULTS = """
 CREATE TABLE IF NOT EXISTS results (
     key          TEXT PRIMARY KEY,
     format       INTEGER NOT NULL,
     spec         TEXT,
-    result       TEXT NOT NULL,
+    result       BLOB NOT NULL,
     created_at   REAL NOT NULL,
     last_used_at REAL NOT NULL,
     hits         INTEGER NOT NULL DEFAULT 0
@@ -148,52 +156,75 @@ class SQLiteResultStore(CacheBackend):
     # -- CacheBackend protocol -----------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkResult]:
+        return self.load_many((key,)).get(key)
+
+    def load_many(self, keys: Iterable[str]) -> Dict[str, NetworkResult]:
+        keys = list(dict.fromkeys(keys))
+        found: Dict[str, NetworkResult] = {}
+        damaged = []
         with self._lock:
-            row = self._conn.execute(
-                "SELECT format, result FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                return None
-            row_format, payload = row
-            try:
-                if row_format != _FORMAT:
-                    raise ValueError("row format mismatch")
-                result = NetworkResult.from_dict(json.loads(payload))
-            except (ValueError, KeyError, TypeError):
-                # Damaged row: drop it, count it, recompute upstream.
-                self.invalid_entries += 1
-                with self._conn:
-                    self._conn.execute(
-                        "DELETE FROM results WHERE key = ?", (key,))
-                return None
-            # The hit counter always moves (it feeds ``lifetime_hits`` in
-            # /stats and inspect(), bound or no bound); the LRU recency
-            # touch only matters when ``max_entries`` can actually evict.
+            for start in range(0, len(keys), _KEYS_PER_QUERY):
+                chunk = keys[start:start + _KEYS_PER_QUERY]
+                rows = self._conn.execute(
+                    "SELECT key, format, result FROM results WHERE key IN "
+                    f"({','.join('?' * len(chunk))})", chunk).fetchall()
+                for key, row_format, frame in rows:
+                    try:
+                        if row_format != codec.VERSION:
+                            raise ValueError("row format mismatch")
+                        (found[key],) = codec.decode(frame)
+                    except ValueError:
+                        damaged.append(key)
+            if not found and not damaged:
+                return found
             with self._conn:
+                if damaged:
+                    # Damaged rows: drop them, count them, recompute upstream.
+                    self.invalid_entries += len(damaged)
+                    self._conn.executemany(
+                        "DELETE FROM results WHERE key = ?",
+                        [(key,) for key in damaged])
+                # The hit counter always moves (it feeds ``lifetime_hits``
+                # in /stats and inspect(), bound or no bound); the LRU
+                # recency touch only matters when ``max_entries`` can
+                # actually evict.
                 if self.max_entries is not None:
-                    self._conn.execute(
+                    now = time.time()
+                    self._conn.executemany(
                         "UPDATE results SET last_used_at = ?, hits = hits + 1 "
-                        "WHERE key = ?",
-                        (time.time(), key),
-                    )
+                        "WHERE key = ?", [(now, key) for key in found])
                 else:
-                    self._conn.execute(
+                    self._conn.executemany(
                         "UPDATE results SET hits = hits + 1 WHERE key = ?",
-                        (key,),
-                    )
-            return result
+                        [(key,) for key in found])
+        return found
 
     def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
+              spec: Spec = None) -> None:
+        self.store_many([(key, result, spec)])
+
+    def store_many(self, entries: Sequence[
+            Tuple[str, NetworkResult, Spec]]) -> None:
+        self.store_encoded([(key, result, codec.encode([result]), spec)
+                            for key, result, spec in entries])
+
+    def store_encoded(self, entries: Sequence[
+            Tuple[str, NetworkResult, bytes, Spec]]) -> None:
+        """Write the entries in one transaction, frames kept as given, then
+        evict down to ``max_entries`` once."""
+        if not entries:
+            return
         now = time.time()
         with self._lock, self._conn:
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO results "
                 "(key, format, spec, result, created_at, last_used_at, hits) "
                 "VALUES (?, ?, ?, ?, ?, ?, 0)",
-                (key, _FORMAT,
-                 json.dumps(spec) if spec is not None else None,
-                 json.dumps(result.to_dict()), now, now),
+                [(key, codec.VERSION,
+                  spec if spec is None or isinstance(spec, str)
+                  else json.dumps(spec),
+                  frame, now, now)
+                 for key, _, frame, spec in entries],
             )
             if self.max_entries is not None:
                 (count,) = self._conn.execute(

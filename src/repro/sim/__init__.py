@@ -3,6 +3,8 @@
 * :mod:`repro.sim.results` -- dataclasses describing what one accelerator did
   for one layer / one network (cycles, traffic, energy) and helpers to compare
   two accelerators (speedup, energy efficiency).
+* :mod:`repro.sim.codec` -- the one result codec: the public JSON dict form
+  and the versioned binary frames of the store, peer wire and worker pool.
 * :mod:`repro.sim.metrics` -- geometric means and other aggregation helpers
   used by the paper's tables.
 * :mod:`repro.sim.engine` -- a small cycle-level engine used by the

@@ -53,6 +53,7 @@ from repro.sim.jobs.spec import (
     network_kind_counts,
     network_layer_counts,
     spec_dict,
+    spec_json,
 )
 
 __all__ = [
@@ -76,5 +77,6 @@ __all__ = [
     "network_layer_counts",
     "set_default_executor",
     "spec_dict",
+    "spec_json",
     "use_executor",
 ]

@@ -38,14 +38,20 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.sim.results import NetworkResult
 
-__all__ = ["CacheBackend", "CacheStats", "JsonDirBackend", "ResultCache"]
+__all__ = ["CacheBackend", "CacheStats", "JsonDirBackend", "ResultCache",
+           "Spec"]
 
 #: Persistent entry schema version; bump when the payload layout changes.
 _FORMAT = 1
+
+#: A job's audit spec: :func:`~repro.sim.jobs.spec.spec_json` text (what the
+#: executor passes: the text its content key was hashed from) or the
+#: equivalent dict.
+Spec = Union[str, dict, None]
 
 
 @dataclass
@@ -99,8 +105,8 @@ class CacheBackend(abc.ABC):
     #: Display name used in executor summaries (e.g. ``"disk cache"``).
     name: str = "backend"
 
-    #: Whether :meth:`store` wants the audit ``spec`` dict.  Executors skip
-    #: computing it for backends that discard it.
+    #: Whether :meth:`store` wants the audit ``spec`` (the job's canonical
+    #: spec JSON text).  Executors skip it for backends that discard it.
     keeps_spec: bool = True
 
     def __init__(self) -> None:
@@ -127,8 +133,29 @@ class CacheBackend(abc.ABC):
 
     @abc.abstractmethod
     def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
+              spec: Spec = None) -> None:
         """Persist ``result`` under ``key`` (``spec`` kept for audit)."""
+
+    def store_many(self, entries: Sequence[
+            Tuple[str, NetworkResult, Spec]]) -> None:
+        """Persist several ``(key, result, spec)`` entries at once.
+
+        The default stores them one by one; the SQLite store commits the
+        whole batch in one transaction.
+        """
+        for key, result, spec in entries:
+            self.store(key, result, spec)
+
+    def store_encoded(self, entries: Sequence[
+            Tuple[str, NetworkResult, bytes, Spec]]) -> None:
+        """Persist ``(key, result, frame, spec)`` entries whose one-result
+        :mod:`repro.sim.codec` frame the caller already holds.
+
+        The default ignores the frames and calls :meth:`store_many`; the
+        SQLite store keeps the frames as given instead of encoding again.
+        """
+        self.store_many([(key, result, spec)
+                         for key, result, _, spec in entries])
 
     @abc.abstractmethod
     def contains(self, key: str) -> bool:
@@ -173,11 +200,11 @@ class JsonDirBackend(CacheBackend):
             return None
 
     def store(self, key: str, result: NetworkResult,
-              spec: Optional[dict] = None) -> None:
+              spec: Spec = None) -> None:
         payload = {
             "format": _FORMAT,
             "key": key,
-            "spec": spec,
+            "spec": json.loads(spec) if isinstance(spec, str) else spec,
             "result": result.to_dict(),
         }
         fd, tmp_path = tempfile.mkstemp(
@@ -271,26 +298,36 @@ class ResultCache:
                 self._memory.move_to_end(key)
             return result
 
-    def get_many(self, keys: Iterable[str],
-                 count_misses: bool = True) -> Dict[str, NetworkResult]:
+    def get_many(self, keys: Iterable[str], count_misses: bool = True,
+                 memory_only: Iterable[str] = ()) -> Dict[str, NetworkResult]:
         """Look several keys up at once; the returned dict holds the hits.
 
         Memory misses go to the backend in one :meth:`CacheBackend.load_many`
         call, so a peer-aware backend asks each peer once for the whole
         set.  ``count_misses=False`` is the batch form of :meth:`peek` (the
-        service's pre-admission pass).  Duplicate keys count once.
+        service's pre-admission pass).  Keys in ``memory_only`` are ones
+        the caller has just missed in the backend (that pass's misses):
+        only the memory layer is checked for them again, so a cold key
+        costs one backend lookup, not two.  Duplicate keys count once.
         """
         found: Dict[str, NetworkResult] = {}
         missing = []
+        skipped = 0
+        memory_only = set(memory_only)
         with self._lock:
             for key in dict.fromkeys(keys):
                 result = self._memory.get(key)
                 if result is None:
-                    missing.append(key)
+                    if key in memory_only:
+                        skipped += 1
+                    else:
+                        missing.append(key)
                     continue
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 found[key] = result
+            if count_misses:
+                self.stats.misses += skipped
         if not missing:
             return found
         # Backend I/O runs outside the cache-wide lock (the backend carries
@@ -322,14 +359,21 @@ class ResultCache:
     # -- store ---------------------------------------------------------------
 
     def put(self, key: str, result: NetworkResult,
-            spec: Optional[dict] = None) -> None:
+            spec: Spec = None) -> None:
         """Store ``result`` under ``key``; ``spec`` is kept on disk for audit."""
+        self.put_many([(key, result, spec)])
+
+    def put_many(self, entries: Sequence[
+            Tuple[str, NetworkResult, Spec]]) -> None:
+        """Store several ``(key, result, spec)`` entries; the backend gets
+        them in one :meth:`CacheBackend.store_many` call."""
         with self._lock:
-            self._remember(key, result)
-            self.stats.stores += 1
-        if self.backend is not None:
+            for key, result, _ in entries:
+                self._remember(key, result)
+            self.stats.stores += len(entries)
+        if self.backend is not None and entries:
             # Outside the lock: persisting must not block memory lookups.
-            self.backend.store(key, result, spec)
+            self.backend.store_many(entries)
 
     def _remember(self, key: str, result: NetworkResult) -> None:
         self._memory[key] = result

@@ -19,11 +19,12 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from repro.obs.trace import get_tracer
 from repro.sim.jobs.cache import ResultCache
-from repro.sim.jobs.spec import SimJob, execute_job, job_key, spec_dict
+from repro.sim.jobs.spec import SimJob, execute_job, job_key, spec_json
 from repro.sim.results import NetworkResult
 
 __all__ = [
@@ -234,8 +235,8 @@ class JobExecutor:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, jobs: Iterable[SimJob],
-            engine: Optional[str] = None) -> List[NetworkResult]:
+    def run(self, jobs: Iterable[SimJob], engine: Optional[str] = None,
+            backend_misses: Collection[str] = ()) -> List[NetworkResult]:
         """Execute ``jobs`` and return their results in submission order.
 
         Within the batch, jobs with identical content keys are simulated
@@ -247,7 +248,9 @@ class JobExecutor:
 
         ``engine`` overrides the executor's engine for this batch; all
         engines are bit-identical by contract, so the cache keys do not
-        record it.
+        record it.  ``backend_misses`` names keys the caller has just
+        looked up in the cache's backend without a hit; the counted lookup
+        re-checks only the memory layer for them.
         """
         jobs = list(jobs)
         if engine is None:
@@ -258,10 +261,10 @@ class JobExecutor:
             resolve_engine(engine)
         with get_tracer().span("executor.run", jobs=len(jobs),
                                engine=engine or "default"):
-            return self._run(jobs, engine)
+            return self._run(jobs, engine, backend_misses)
 
-    def _run(self, jobs: List[SimJob],
-             engine: Optional[str]) -> List[NetworkResult]:
+    def _run(self, jobs: List[SimJob], engine: Optional[str],
+             backend_misses: Collection[str] = ()) -> List[NetworkResult]:
         keys = [job_key(job) for job in jobs]
         total = len(jobs)
         self.stats.submitted += total
@@ -273,11 +276,12 @@ class JobExecutor:
 
         if self.cache is None:
             # No cache: execute every submission, duplicates included.
-            def on_result(index, result):
-                self.stats.record_execution(keys[index])
-                emit(jobs[index], keys[index], "executed", index)
+            def on_results(start, results):
+                for index in range(start, start + len(results)):
+                    self.stats.record_execution(keys[index])
+                    emit(jobs[index], keys[index], "executed", index)
 
-            return self._execute_timed(jobs, on_result, engine)
+            return self._execute_timed(jobs, on_results, engine)
 
         resolved: Dict[str, NetworkResult] = {}
         statuses: Dict[str, str] = {}
@@ -289,7 +293,8 @@ class JobExecutor:
                 first_index.setdefault(key, index)
             # One batched lookup: a peer-aware backend asks each peer once
             # for every memory miss instead of once per key.
-            hits = self.cache.get_many(first_index)
+            hits = self.cache.get_many(first_index,
+                                       memory_only=backend_misses)
             for key, index in first_index.items():
                 job = jobs[index]
                 cached = hits.get(key)
@@ -308,20 +313,27 @@ class JobExecutor:
                     f"simulating {len(pending)} of {total} jobs "
                     f"({total - len(pending)} cached/deduplicated)"
                 )
-            # The audit spec on persistent entries is only worth computing
+            # The audit spec on persistent entries is only worth passing
             # when there is a backend that stores it.
             keep_spec = (self.cache.backend is not None
                          and self.cache.backend.keeps_spec)
 
-            def on_result(position, result):
-                job, key = pending[position], pending_keys[position]
-                self.stats.record_execution(key)
-                self.cache.put(key, result,
-                               spec=spec_dict(job) if keep_spec else None)
-                resolved[key] = result
-                emit(job, key, "executed", first_index[key])
+            def on_results(start, results):
+                entries = []
+                for position, result in enumerate(results, start):
+                    job, key = pending[position], pending_keys[position]
+                    self.stats.record_execution(key)
+                    entries.append((key, result,
+                                    spec_json(job) if keep_spec else None))
+                    resolved[key] = result
+                # A batch of results is one backend write (one SQLite
+                # transaction, one replication queue append).
+                self.cache.put_many(entries)
+                for position in range(start, start + len(results)):
+                    emit(pending[position], pending_keys[position],
+                         "executed", first_index[pending_keys[position]])
 
-            self._execute_timed(pending, on_result, engine)
+            self._execute_timed(pending, on_results, engine)
 
         # Account and emit the remaining submissions: repeats of a cached key
         # are further cache hits; repeats of an executed key are dedup hits.
@@ -335,7 +347,7 @@ class JobExecutor:
                 emit(job, key, "deduplicated", index)
         return [resolved[key] for key in keys]
 
-    def _execute_timed(self, jobs: Sequence[SimJob], on_result,
+    def _execute_timed(self, jobs: Sequence[SimJob], on_results,
                        engine: Optional[str]) -> List[NetworkResult]:
         """Run jobs under the ``simulate`` phase, carving out table builds.
 
@@ -348,16 +360,18 @@ class JobExecutor:
 
         build_before = layer_table_build_seconds()
         with self._phase("simulate", jobs=len(jobs)):
-            results = self._execute(jobs, on_result, engine=engine)
+            results = self._execute(jobs, on_results, engine=engine)
         build_delta = layer_table_build_seconds() - build_before
         if build_delta > 0.0:
             self._record_phase("layer_table_build", build_delta)
         return results
 
-    def _execute(self, jobs: Sequence[SimJob], on_result=None,
+    def _execute(self, jobs: Sequence[SimJob], on_results=None,
                  engine: Optional[str] = None) -> List[NetworkResult]:
-        """Run ``jobs`` in order, invoking ``on_result(index, result)`` as
-        each finishes (parallel execution streams ordered results back)."""
+        """Run ``jobs`` in order, invoking ``on_results(start, results)``
+        as results arrive: one at a time when jobs run one by one
+        (parallel execution streams ordered results back), all at once
+        from the batched engine."""
         import functools
 
         from repro.sim.fastpath import get_default_engine
@@ -368,7 +382,7 @@ class JobExecutor:
         if engine is None:
             engine = get_default_engine()
         if engine == "batched":
-            return self._execute_batched(jobs, on_result)
+            return self._execute_batched(jobs, on_results)
         results: List[NetworkResult] = []
         if self.workers == 1 or len(jobs) < 2:
             run_job = functools.partial(execute_job, engine=engine)
@@ -383,13 +397,13 @@ class JobExecutor:
             run_chunk = functools.partial(_run_jobs_packed, engine=engine)
             iterator = self._unpack_payloads(pool.imap(run_chunk, chunks))
         for index, result in enumerate(iterator):
-            if on_result is not None:
-                on_result(index, result)
+            if on_results is not None:
+                on_results(index, [result])
             results.append(result)
         return results
 
     def _execute_batched(self, jobs: Sequence[SimJob],
-                         on_result=None) -> List[NetworkResult]:
+                         on_results=None) -> List[NetworkResult]:
         """Dispatch whole groups to the batched engine (one tensor pass per
         design group) instead of simulating job by job."""
         from repro.sim.batched import simulate_jobs_batched
@@ -407,9 +421,8 @@ class JobExecutor:
                 self._unpack_payloads(pool.imap(_run_jobs_batched_packed,
                                                 chunks))
             )
-        if on_result is not None:
-            for index, result in enumerate(results):
-                on_result(index, result)
+        if on_results is not None:
+            on_results(0, results)
         return results
 
     def _unpack_payloads(self, payloads):

@@ -42,6 +42,7 @@ __all__ = [
     "SimJob",
     "job_key",
     "spec_dict",
+    "spec_json",
     "build_accelerator",
     "build_spec_network",
     "network_layer_counts",
@@ -261,11 +262,28 @@ def spec_dict(job: SimJob) -> Dict[str, object]:
     }
 
 
-@functools.lru_cache(maxsize=None)
+#: Jobs whose canonical JSON and key stay memoised.  A bound, not an
+#: option: a serve or cluster process sees an unbounded stream of distinct
+#: jobs, and each entry holds about 1.5 KB (JSON text, key and memo slot),
+#: so the memo stays near 6 MB at most.
+_CANONICAL_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
+def _canonical(job: SimJob) -> Tuple[str, str]:
+    text = json.dumps(spec_dict(job), sort_keys=True, separators=(",", ":"))
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def spec_json(job: SimJob) -> str:
+    """The canonical spec JSON text :func:`job_key` hashes (and the audit
+    spec stores keep): built once per job, not once per use."""
+    return _canonical(job)[0]
+
+
 def job_key(job: SimJob) -> str:
     """Deterministic content key: sha256 over the canonical spec JSON."""
-    payload = json.dumps(spec_dict(job), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _canonical(job)[1]
 
 
 # -- spec -> objects ----------------------------------------------------------

@@ -2,42 +2,26 @@
 
 A :class:`~repro.sim.jobs.executor.JobExecutor` fan-out used to pickle every
 :class:`~repro.sim.results.NetworkResult` -- layer objects and all -- through
-the pool's result pipe.  For sweep-sized batches the numeric payload dwarfs
-the metadata, so workers instead write the eight float64 result columns (plus
-the int64 MAC counts) of all their layers into one
-:mod:`multiprocessing.shared_memory` block and send only lightweight metadata
-(network/accelerator names, layer names/kinds, the shm block name) across the
-pipe.  The parent attaches, copies the columns out, closes and unlinks the
-block, and rebuilds the result objects with the same ``__new__`` +
-``__dict__`` construction the batched engine uses -- bit-identical to the
-pickled originals.
+the pool's result pipe.  Workers instead encode their chunk's results as one
+columnar frame (:mod:`repro.sim.codec`), write it into one
+:mod:`multiprocessing.shared_memory` block and send only the block's name and
+size across the pipe.  The parent attaches, copies the frame out, closes and
+unlinks the block, and decodes the frame -- bit-identical to the pickled
+originals.
 
-Everything degrades gracefully: when shared memory is unavailable (platform
-without ``/dev/shm``, allocation failure) the payload carries the pickled
-results inline, so the executor's behaviour is unchanged apart from speed.
+Where shared memory is unavailable (platform without ``/dev/shm``,
+allocation failure) the payload carries the pickled results inline, so the
+executor's behaviour is unchanged apart from speed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro.sim.results import LayerResult, NetworkResult
+from repro.sim import codec
+from repro.sim.results import NetworkResult
 
 __all__ = ["pack_results", "unpack_results"]
-
-#: float64 columns packed per layer, in LayerResult field order.
-_FLOAT_COLUMNS = (
-    "cycles",
-    "compute_cycles",
-    "memory_cycles",
-    "energy_pj",
-    "weight_bits_read",
-    "activation_bits_read",
-    "activation_bits_written",
-    "utilization",
-)
 
 
 def _try_create_shm(num_bytes: int):
@@ -63,55 +47,19 @@ def _try_create_shm(num_bytes: int):
 
 
 def pack_results(results: Sequence[NetworkResult]) -> Dict[str, object]:
-    """Pack ``results`` for the pool pipe, numeric columns via shared memory.
+    """Pack ``results`` for the pool pipe: one frame in shared memory.
 
-    Returns a plain-dict payload for :func:`unpack_results`.  Layout: one
-    ``(total_layers, 8)`` float64 block followed by ``total_layers`` int64
-    MAC counts; the metadata lists each network's header and its layers'
-    names/kinds.  Falls back to carrying the result objects inline when no
-    shared-memory block can be created.
+    Returns a plain-dict payload for :func:`unpack_results`.  Falls back to
+    carrying the result objects inline when no shared-memory block can be
+    created.
     """
-    # Results carrying auxiliary per-layer data (exotic accelerators may
-    # populate ``extra``) do not fit the fixed column layout; ship them whole.
-    if any(layer.extra for result in results for layer in result.layers):
-        return {"format": "pickle", "results": list(results)}
-    total_layers = sum(len(result.layers) for result in results)
-    floats_bytes = total_layers * len(_FLOAT_COLUMNS) * 8
-    macs_bytes = total_layers * 8
-    shm = _try_create_shm(floats_bytes + macs_bytes)
+    frame = codec.encode(results)
+    shm = _try_create_shm(len(frame))
     if shm is None:
         return {"format": "pickle", "results": list(results)}
-    floats = np.ndarray((total_layers, len(_FLOAT_COLUMNS)), dtype=np.float64,
-                        buffer=shm.buf)
-    macs = np.ndarray((total_layers,), dtype=np.int64, buffer=shm.buf,
-                      offset=floats_bytes)
-    networks = []
-    row = 0
-    for result in results:
-        names = []
-        kinds = []
-        for layer in result.layers:
-            names.append(layer.layer_name)
-            kinds.append(layer.layer_kind)
-            floats[row] = [getattr(layer, column) for column in _FLOAT_COLUMNS]
-            macs[row] = layer.macs
-            row += 1
-        networks.append({
-            "network": result.network,
-            "accelerator": result.accelerator,
-            "clock_ghz": result.clock_ghz,
-            "layer_names": names,
-            "layer_kinds": kinds,
-        })
-    # Views into the buffer must be dropped before closing the mapping.
-    del floats, macs
+    shm.buf[:len(frame)] = frame
     shm.close()
-    return {
-        "format": "shm",
-        "shm_name": shm.name,
-        "total_layers": total_layers,
-        "networks": networks,
-    }
+    return {"format": "shm", "shm_name": shm.name, "size": len(frame)}
 
 
 def unpack_results(
@@ -119,7 +67,7 @@ def unpack_results(
 ) -> Tuple[List[NetworkResult], bool]:
     """Rebuild the results a worker packed; returns ``(results, used_shm)``.
 
-    Attaches to the worker's block, copies the columns out, then closes and
+    Attaches to the worker's block, copies the frame out, then closes and
     unlinks it -- the parent owns every block's lifetime (workers unregister
     at creation, see :func:`_try_create_shm`).
     """
@@ -129,51 +77,11 @@ def unpack_results(
 
     shm = shared_memory.SharedMemory(name=payload["shm_name"])
     try:
-        total_layers = payload["total_layers"]
-        floats_bytes = total_layers * len(_FLOAT_COLUMNS) * 8
-        floats = np.ndarray((total_layers, len(_FLOAT_COLUMNS)),
-                            dtype=np.float64, buffer=shm.buf).copy()
-        macs_list = np.ndarray((total_layers,), dtype=np.int64, buffer=shm.buf,
-                               offset=floats_bytes).tolist()
+        frame = bytes(shm.buf[:payload["size"]])
     finally:
         shm.close()
         try:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already reclaimed
             pass
-
-    columns = [column.tolist() for column in floats.T]
-    layer_new = LayerResult.__new__
-    network_new = NetworkResult.__new__
-    results: List[NetworkResult] = []
-    row = 0
-    for meta in payload["networks"]:
-        layers: List[LayerResult] = []
-        append = layers.append
-        for name, kind in zip(meta["layer_names"], meta["layer_kinds"]):
-            layer = layer_new(LayerResult)
-            layer.__dict__ = {
-                "layer_name": name,
-                "layer_kind": kind,
-                "cycles": columns[0][row],
-                "compute_cycles": columns[1][row],
-                "memory_cycles": columns[2][row],
-                "energy_pj": columns[3][row],
-                "weight_bits_read": columns[4][row],
-                "activation_bits_read": columns[5][row],
-                "activation_bits_written": columns[6][row],
-                "macs": macs_list[row],
-                "utilization": columns[7][row],
-                "extra": {},
-            }
-            append(layer)
-            row += 1
-        result = network_new(NetworkResult)
-        result.__dict__ = {
-            "network": meta["network"],
-            "accelerator": meta["accelerator"],
-            "layers": layers,
-            "clock_ghz": meta["clock_ghz"],
-        }
-        results.append(result)
-    return results, True
+    return codec.decode(frame), True

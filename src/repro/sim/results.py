@@ -8,7 +8,7 @@ relative speedup / energy-efficiency numbers that the paper's tables report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
@@ -91,8 +91,10 @@ class LayerResult:
         return self.layer_kind == "matmul"
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (for the on-disk result cache and tooling)."""
-        return asdict(self)
+        """Plain-data form (:func:`repro.sim.codec.layer_to_dict`)."""
+        from repro.sim.codec import layer_to_dict
+
+        return layer_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerResult":
@@ -160,22 +162,16 @@ class NetworkResult:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (for the on-disk result cache and tooling)."""
-        return {
-            "network": self.network,
-            "accelerator": self.accelerator,
-            "clock_ghz": self.clock_ghz,
-            "layers": [lr.to_dict() for lr in self.layers],
-        }
+        """Plain-data form (:func:`repro.sim.codec.network_to_dict`)."""
+        from repro.sim.codec import network_to_dict
+
+        return network_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NetworkResult":
-        return cls(
-            network=data["network"],
-            accelerator=data["accelerator"],
-            clock_ghz=data["clock_ghz"],
-            layers=[LayerResult.from_dict(lr) for lr in data["layers"]],
-        )
+        from repro.sim.codec import network_from_dict
+
+        return network_from_dict(data)
 
 
 @dataclass(frozen=True)

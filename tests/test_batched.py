@@ -237,16 +237,18 @@ class TestTransport:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=payload["shm_name"])
 
-    def test_extra_fields_force_pickle_fallback(self):
+    def test_extra_fields_ride_the_shm_frame(self):
+        # The frame carries non-empty ``extra`` dicts in its metadata, so
+        # they no longer force the pickle fallback.
         results = self._results()
         results[0].layers[0].extra["note"] = 1.0
         try:
             payload = pack_results(results)
-            assert payload["format"] == "pickle"
             unpacked, used_shm = unpack_results(payload)
-            assert not used_shm
+            assert used_shm == (payload["format"] == "shm")
             _jobs_equal(unpacked, results)
             assert unpacked[0].layers[0].extra == {"note": 1.0}
+            assert unpacked[0].layers[1].extra == {}
         finally:
             results[0].layers[0].extra.clear()
 

@@ -440,3 +440,66 @@ class TestModernLayerTypeCaching:
         assert fresh is not None
         assert [layer.layer_kind for layer in fresh.layers] == \
             [layer.layer_kind for layer in result.layers]
+
+
+class _RecordingBackend:
+    """Stands in for a persistent backend; records every call."""
+
+    name = "recording"
+    keeps_spec = True
+    invalid_entries = 0
+
+    def __init__(self):
+        self.loaded = []
+        self.stored = []
+
+    def load_many(self, keys):
+        self.loaded.append(list(keys))
+        return {}
+
+    def store_many(self, entries):
+        self.stored.append(list(entries))
+
+    def close(self):
+        pass
+
+
+class TestCanonicalSpecAndBatchedStores:
+    def test_spec_json_is_the_text_the_key_hashes(self):
+        import hashlib
+
+        from repro.sim.jobs.spec import spec_json
+
+        job = _job()
+        text = spec_json(job)
+        assert json.loads(text) == spec_dict(job)
+        assert job_key(job) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_canonical_memo_is_bounded(self):
+        from repro.sim.jobs import spec
+
+        assert spec._canonical.cache_info().maxsize == \
+            spec._CANONICAL_CACHE_SIZE
+
+    def test_batched_engine_stores_a_batch_in_one_call(self):
+        from repro.sim.jobs.spec import spec_json
+
+        backend = _RecordingBackend()
+        jobs = [_job(kind=kind) for kind in ("loom", "dpnn", "stripes")]
+        with JobExecutor(cache=ResultCache(backend=backend),
+                         engine="batched") as executor:
+            results = executor.run(jobs)
+        assert len(backend.stored) == 1
+        assert [(key, spec) for key, _, spec in backend.stored[0]] == \
+            [(job_key(job), spec_json(job)) for job in jobs]
+        assert [result for _, result, _ in backend.stored[0]] == results
+
+    def test_backend_misses_are_rechecked_in_memory_only(self):
+        backend = _RecordingBackend()
+        cache = ResultCache(backend=backend)
+        job = _job()
+        with JobExecutor(cache=cache) as executor:
+            executor.run([job], backend_misses=[job_key(job)])
+        assert backend.loaded == []  # the caller's miss was not re-asked
+        assert cache.stats.misses == 1  # but it was counted
+        assert executor.stats.executed == 1

@@ -18,6 +18,7 @@ The acceptance contract of the peer-cache ISSUE:
 import contextlib
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ import pytest
 from repro.cluster import ClusterCoordinator, ClusterWorker, PeerCacheBackend
 from repro.cluster.ring import ConsistentHashRing
 from repro.serve import ServeClient
+from repro.sim import codec
 from repro.sim.jobs import JobExecutor
 from repro.sim.results import LayerResult, NetworkResult
 from repro.sim.validate import compare_layer_results
@@ -48,12 +50,27 @@ def _result(cycles=100.0, network="netA", accelerator="AccX"):
     return result
 
 
+_FRAME = codec.encode([_result()])
+
+
+def _record(raw_key, frame):
+    """One raw frame-batch record, whatever its key bytes."""
+    return struct.pack("<HI", len(raw_key), len(frame)) + raw_key + frame
+
+
 def _post(url, payload, method="POST"):
+    """Send ``payload`` as JSON; a frame-batch reply (the peer-cache lookup
+    answer) comes back in dict form as ``{"results": {key: result}}``."""
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"}, method=method)
     with urllib.request.urlopen(request, timeout=10.0) as response:
-        return json.loads(response.read().decode("utf-8"))
+        body = response.read()
+        if response.headers["Content-Type"] == codec.FRAME_CONTENT_TYPE:
+            return {"results": {
+                key: codec.decode(frame)[0].to_dict()
+                for key, frame in codec.decode_entries(body)}}
+        return json.loads(body.decode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -199,7 +216,9 @@ class TestPeerCacheUnit:
         def fake_ask_peers(asks, deadline):
             fetches.append(asks)
             release.wait(timeout=5.0)
-            return {key: shared for keys in asks.values() for key in keys}
+            frame = codec.encode([shared])
+            return {key: (shared, frame)
+                    for keys in asks.values() for key in keys}
 
         backend._ask_peers = fake_ask_peers
         outcomes = []
@@ -294,6 +313,16 @@ class TestBatchWire:
             assert backend.load_many(list(stored)).keys() == stored.keys()
             assert batch_requests() == len(owners)
             backend.close()
+
+    def test_a_cold_key_is_asked_of_its_peer_once(self):
+        # The service's uncounted pre-admission peek asks the peer; the
+        # executor's counted lookup must not ask again.
+        with ClusterWorker() as a, ClusterWorker() as b:
+            a.configure_peers([a.url, b.url], self_url=a.url)
+            entries = a.core.submit_points(MATRIX)
+            assert {entry.status for entry in entries} == {"executed"}
+            assert a.peer_cache.peer_misses == len(MATRIX)
+            assert a.core.cache.stats.misses == len(MATRIX)
 
     def test_slow_peer_costs_each_abandoned_key_within_one_budget(self):
         with black_hole() as url:
@@ -408,22 +437,28 @@ class TestBatchWire:
 
     @pytest.mark.parametrize("entries", [
         None,
-        {"key": KEY},
-        ["not an object"],
-        [{"key": KEY}],
-        [{"result": _result().to_dict()}],
-        [{"key": 7, "result": _result().to_dict()}],
-        [{"key": "", "result": _result().to_dict()}],
-        [{"key": KEY, "result": {"network": "n"}}],
-        [{"key": KEY, "result": "nope"}],
+        [_record(b"", _FRAME)],
+        [_record(b"\xff\xfe" * 32, _FRAME)],
+        [_record(KEY.encode(), b"")],
+        [_record(KEY.encode(), b"not a frame")],
+        [_record(KEY.encode(), _FRAME[:-1])],
+        [_record(KEY.encode(), codec.encode([_result(), _result()]))],
+        [_record(KEY.encode(), codec.encode([]))],
+        [_record(KEY.encode(), _FRAME)[:-1]],
     ])
     def test_bad_replica_batch_answers_400_and_stores_nothing(self, entries):
-        good = {"key": "g" * 64, "result": _result().to_dict()}
-        payload = {"entries": [good] + entries
-                   if isinstance(entries, list) else entries}
+        # A good record, then a bad one: a zero-length or non-UTF-8 key, a
+        # frame that is empty, garbage, truncated or not exactly one
+        # result, or a truncated record.  None sends JSON, not a batch.
+        good = _record(b"g" * 64, _FRAME)
+        body = (json.dumps({"entries": []}).encode() if entries is None
+                else codec.BATCH_HEADER + good + b"".join(entries))
         with ClusterWorker() as worker:
+            request = urllib.request.Request(
+                worker.url + "/cache/batch", data=body, method="PUT",
+                headers={"Content-Type": codec.FRAME_CONTENT_TYPE})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(worker.url + "/cache/batch", payload, method="PUT")
+                urllib.request.urlopen(request, timeout=10.0)
             excinfo.value.close()
             assert excinfo.value.code == 400
             assert _post(worker.url + "/cache/batch",
